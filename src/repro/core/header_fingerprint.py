@@ -27,6 +27,7 @@ from collections import Counter
 
 from repro.hypergiants.profiles import HeaderRule, STANDARD_HEADERS
 from repro.scan.records import ScanSnapshot
+from repro.store import SnapshotStore
 
 __all__ = ["learn_header_fingerprints", "HG_ABBREVIATIONS"]
 
@@ -69,24 +70,50 @@ def _mentions_abbreviation(text: str, hypergiant: str) -> bool:
     return any(needle in lowered for needle in needles)
 
 
-def _collect_counters(
-    scan: ScanSnapshot, ips: frozenset[int]
-) -> tuple[Counter, Counter, int]:
-    """(name:value counter, name counter, responses) over the given IPs."""
-    pair_counts: Counter = Counter()
-    name_counts: Counter = Counter()
-    responses = 0
-    for record in scan.http_records:
-        if record.ip not in ips:
+def _group_counters(
+    store: SnapshotStore, groups: list[frozenset[int]]
+) -> list[tuple[Counter, Counter, int]]:
+    """(name:value counter, name counter, responses) for each IP group,
+    from one pass over the store's HTTP rows.
+
+    The pass counts rows per interned header tuple for each group; each
+    tuple is then expanded once, weighted by its row count.  A group's
+    tuples expand in the order it first saw them, so every pair and name
+    enters its counter in first-seen row order, the order
+    ``Counter.most_common`` breaks ties by.
+    """
+    membership: dict[int, list[int]] = {}
+    for group, ips in enumerate(groups):
+        for ip in ips:
+            membership.setdefault(ip, []).append(group)
+    rows_per_tuple: list[dict[int, int]] = [{} for _ in groups]
+    for ip, header_index in zip(store.http_ip, store.http_header):
+        member_of = membership.get(ip)
+        if member_of is None:
             continue
-        responses += 1
-        for name, value in record.headers:
-            lowered = name.lower()
-            if lowered in STANDARD_HEADERS:
-                continue
-            pair_counts[(name, value)] += 1
-            name_counts[name] += 1
-    return pair_counts, name_counts, responses
+        for group in member_of:
+            counts = rows_per_tuple[group]
+            counts[header_index] = counts.get(header_index, 0) + 1
+    header_table = store.header_table
+    # Each tuple's non-standard pairs, filtered once for every group.
+    nonstandard: dict[int, list[tuple[str, str]]] = {}
+    counted = []
+    for counts in rows_per_tuple:
+        pair_counts: Counter = Counter()
+        name_counts: Counter = Counter()
+        for header_index, rows in counts.items():
+            pairs = nonstandard.get(header_index)
+            if pairs is None:
+                pairs = nonstandard[header_index] = [
+                    (name, value)
+                    for name, value in header_table[header_index]
+                    if name.lower() not in STANDARD_HEADERS
+                ]
+            for pair in pairs:
+                pair_counts[pair] += rows
+                name_counts[pair[0]] += rows
+        counted.append((pair_counts, name_counts, sum(counts.values())))
+    return counted
 
 
 def _common_prefix(values: list[str]) -> str:
@@ -111,19 +138,22 @@ def learn_header_fingerprints(
     ``background_ips`` is a sample of non-HG responsive servers used to
     reject headers that are common on the ordinary web.
     """
-    background_pairs, background_names, background_total = _collect_counters(
-        scan, background_ips
+    hypergiants = list(onnet_ips)
+    counted = _group_counters(
+        scan.store, [background_ips, *(onnet_ips[hg] for hg in hypergiants)]
     )
+    background_pairs, background_names, background_total = counted[0]
     background_total = max(1, background_total)
 
     # Names seen on more than one HG's on-nets are ambiguous unless the
     # value itself names the HG (e.g. "Server" appears everywhere).
-    per_hg_names: dict[str, set[str]] = {}
-    collected: dict[str, tuple[Counter, Counter, int]] = {}
-    for hypergiant, ips in onnet_ips.items():
-        pair_counts, name_counts, total = _collect_counters(scan, ips)
-        collected[hypergiant] = (pair_counts, name_counts, total)
-        per_hg_names[hypergiant] = {name.lower() for name in name_counts}
+    collected: dict[str, tuple[Counter, Counter, int]] = dict(
+        zip(hypergiants, counted[1:])
+    )
+    per_hg_names: dict[str, set[str]] = {
+        hypergiant: {name.lower() for name in name_counts}
+        for hypergiant, (_, name_counts, _) in collected.items()
+    }
 
     name_owners: Counter = Counter()
     for names in per_hg_names.values():

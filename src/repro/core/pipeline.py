@@ -38,7 +38,6 @@ suite asserts.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.candidates import Candidate
@@ -269,12 +268,6 @@ class OffnetPipeline:
         self._all_hg_ases = frozenset(
             asn for ases in self._hg_ases.values() for asn in ases
         )
-        # Bounded LRU for stray per-string lookups (header learning etc.).
-        # The hot paths never touch it: they map the snapshot store's
-        # interned-organization table once per snapshot instead, so the
-        # per-process memory for org matching is O(unique orgs per
-        # snapshot), not O(every org string ever seen).
-        self._org_cache: OrderedDict[str, tuple[str, ...]] = OrderedDict()
         self._header_rules: dict[str, tuple[HeaderRule, ...]] | None = None
         # The per-snapshot phase as a stage graph with content-addressed
         # artifacts.  Disk caching needs the source to name its own data
@@ -498,27 +491,32 @@ class OffnetPipeline:
         if learning_snapshot < profile.available_since:
             return None
         scan = self.source.scan(options.corpus, learning_snapshot)
-        if not scan.http_records:
+        store = scan.store
+        if not store.http_ip:
             return None
         records, _ = self._validated(scan)
         ip2as = self.source.ip2as(learning_snapshot)
-        onnet_ips: dict[str, frozenset[int]] = {}
-        for keyword in self._keywords:
-            hg_ases = self._hg_ases[keyword]
-            ips = set()
-            for record in records:
-                if record.expired_only:
-                    continue
-                if keyword not in self._hgs_for_org(record.certificate.subject.organization):
-                    continue
-                if ip2as.lookup(record.ip) & hg_ases:
-                    ips.add(record.ip)
-            onnet_ips[keyword] = frozenset(ips)
-        all_onnet = frozenset(ip for ips in onnet_ips.values() for ip in ips)
+        # One pass over the validated records, with the org→HG keyword
+        # scan done once per interned Organization, as the match stage
+        # does it.
+        org_hgs = self._org_table_hgs(store)
+        chain_hgs = [org_hgs[org_index] for org_index in store.chain_org]
+        hg_ases = self._hg_ases
+        onnet: dict[str, set[int]] = {keyword: set() for keyword in self._keywords}
+        for record in records:
+            if record.expired_only:
+                continue
+            hgs = chain_hgs[record.chain_index]
+            if not hgs:
+                continue
+            origins = ip2as.lookup(record.ip)
+            for keyword in hgs:
+                if origins & hg_ases[keyword]:
+                    onnet[keyword].add(record.ip)
+        onnet_ips = {keyword: frozenset(ips) for keyword, ips in onnet.items()}
+        all_onnet = frozenset().union(*onnet_ips.values())
         background = frozenset(
-            record.ip
-            for index, record in enumerate(scan.http_records)
-            if index % 3 == 0 and record.ip not in all_onnet
+            ip for ip in store.http_ip[::3] if ip not in all_onnet
         )
         return learn_header_fingerprints(scan, onnet_ips, background)
 
@@ -530,25 +528,6 @@ class OffnetPipeline:
         return self._validator.validate_snapshot(
             scan, allow_expired=True, registry=registry
         )
-
-    #: Upper bound on the stray-lookup LRU (see ``_org_cache`` above).
-    _ORG_CACHE_MAX = 4096
-
-    def _hgs_for_org(self, organization: str) -> tuple[str, ...]:
-        """Which HG keywords appear in an Organization string (memoised in
-        a *bounded* LRU; the per-snapshot hot paths use
-        :meth:`_org_table_hgs` over the store's interned table instead)."""
-        cache = self._org_cache
-        cached = cache.get(organization)
-        if cached is not None:
-            cache.move_to_end(organization)
-            return cached
-        lowered = organization.lower()
-        cached = tuple(k for k in self._keywords if k in lowered)
-        cache[organization] = cached
-        if len(cache) > self._ORG_CACHE_MAX:
-            cache.popitem(last=False)
-        return cached
 
     def _org_table_hgs(self, store) -> list[tuple[str, ...]]:
         """HG keyword matches for every entry of a store's interned

@@ -75,7 +75,8 @@ class SignalContext:
     candidates against one snapshot.
 
     One context is built per (hypergiant, snapshot, mode) evaluation;
-    signals must treat it as read-only shared state.
+    signals must treat it as read-only shared state, apart from their
+    own entry in :attr:`memo`.
     """
 
     #: The candidate hypergiant's keyword (e.g. ``"google"``).
@@ -90,6 +91,11 @@ class SignalContext:
     netflix_nginx_rule: bool = True
     #: The §7 edge-CDN conflict priority.
     edge_priority: bool = True
+    #: Per-context scratch space, keyed by signal name: a signal keeps
+    #: its compiled inputs and verdict memos here.  It lives exactly as
+    #: long as the context (one engine call), so no memo outlives the
+    #: confirm stage or keeps a scan alive.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @runtime_checkable

@@ -22,7 +22,8 @@ barrier:
 Both are booked only when ``book_signals`` is set: the confirm stage
 runs the engine twice (Figure 4's ``or`` and ``and`` variants) and only
 the primary ``or`` pass books signal counters, so each candidate is
-counted once.
+counted once.  Every counter is summed over the call and booked once
+per label set, not once per candidate.
 """
 
 from __future__ import annotations
@@ -92,32 +93,25 @@ def evaluate_candidates(
         registry.counter("confirm_checked_total", hg=hypergiant, mode=mode).inc(
             len(candidates)
         )
+    # Counts per label set, booked once after the loop.
+    book_signals = book_signals and registry is not None
+    verdict_counts: dict[tuple[str, str], int] = {}
+    disagreements = 0
+    passed: dict[str, int] = {}
     decisions: list[SignalDecision] = []
     for candidate in candidates:
         verdicts = tuple(signal.evaluate(candidate, context) for signal in signals)
         confirmed = policy.decide(verdicts)
         matched_on = _matched_on(verdicts) if confirmed else ""
-        if registry is not None:
-            if book_signals:
-                for verdict in verdicts:
-                    registry.counter(
-                        "signal_verdicts_total",
-                        signal=verdict.signal,
-                        verdict=verdict.verdict,
-                        hg=hypergiant,
-                    ).inc()
-                outcomes = {v.verdict for v in verdicts}
-                if CONFIRM in outcomes and REJECT in outcomes:
-                    registry.counter(
-                        "signal_disagreements_total", hg=hypergiant
-                    ).inc()
-            if confirmed:
-                registry.counter(
-                    "confirm_passed_total",
-                    hg=hypergiant,
-                    mode=mode,
-                    matched_on=matched_on,
-                ).inc()
+        if book_signals:
+            for verdict in verdicts:
+                key = (verdict.signal, verdict.verdict)
+                verdict_counts[key] = verdict_counts.get(key, 0) + 1
+            outcomes = {v.verdict for v in verdicts}
+            if CONFIRM in outcomes and REJECT in outcomes:
+                disagreements += 1
+        if confirmed:
+            passed[matched_on] = passed.get(matched_on, 0) + 1
         decisions.append(
             SignalDecision(
                 candidate=candidate,
@@ -126,6 +120,19 @@ def evaluate_candidates(
                 verdicts=verdicts,
             )
         )
+    if registry is not None:
+        for (signal, verdict), count in verdict_counts.items():
+            registry.counter(
+                "signal_verdicts_total", signal=signal, verdict=verdict, hg=hypergiant
+            ).inc(count)
+        if disagreements:
+            registry.counter("signal_disagreements_total", hg=hypergiant).inc(
+                disagreements
+            )
+        for matched_on, count in passed.items():
+            registry.counter(
+                "confirm_passed_total", hg=hypergiant, mode=mode, matched_on=matched_on
+            ).inc(count)
     return decisions
 
 

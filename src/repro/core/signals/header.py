@@ -11,6 +11,14 @@ matched on each of HTTPS (443) and HTTP (80) separately
 (``https_rule`` / ``http_rule``), so a ``both`` match that used
 different rules on the two ports keeps both identities instead of
 collapsing them into one ``matched_on`` label.
+
+Matching is compiled: :func:`compile_rules` lower-cases each rule
+pattern once, :func:`lowered_headers` each response's names once, and
+:func:`first_match` picks the first matching rule exactly as
+:meth:`~repro.hypergiants.profiles.HeaderRule.matches_any` over the
+rules in order would (that method stays the reference semantics).
+Within one engine call each distinct interned header tuple is judged
+once.
 """
 
 from __future__ import annotations
@@ -25,7 +33,15 @@ from repro.core.signals.base import (
 )
 from repro.hypergiants.profiles import STANDARD_HEADERS, HeaderRule
 
-__all__ = ["EDGE_CDNS", "HeaderSignal", "is_default_nginx", "rule_label"]
+__all__ = [
+    "EDGE_CDNS",
+    "HeaderSignal",
+    "compile_rules",
+    "first_match",
+    "is_default_nginx",
+    "lowered_headers",
+    "rule_label",
+]
 
 #: CDNs that operate edges on behalf of content owners (§7's conflict list).
 EDGE_CDNS: tuple[str, ...] = (
@@ -57,8 +73,54 @@ def rule_label(rule: HeaderRule) -> str:
     return f"{rule.name}={rule.value}"
 
 
-def _matches(rules: tuple[HeaderRule, ...], headers: dict[str, str]) -> bool:
-    return any(rule.matches_any(headers) for rule in rules)
+def compile_rules(rules: tuple[HeaderRule, ...]) -> tuple[tuple, ...]:
+    """``rules`` ready for :func:`first_match`: each rule as ``(name,
+    name_is_prefix, value, value_is_prefix, rule)`` with the name pattern
+    lower-cased and any trailing ``*`` stripped once, instead of on every
+    :meth:`~repro.hypergiants.profiles.HeaderRule.matches` call."""
+    compiled = []
+    for rule in rules:
+        name = rule.name.lower()
+        name_is_prefix = name.endswith("*")
+        value = rule.value
+        value_is_prefix = value is not None and value.endswith("*")
+        compiled.append((
+            name[:-1] if name_is_prefix else name,
+            name_is_prefix,
+            value[:-1] if value_is_prefix else value,
+            value_is_prefix,
+            rule,
+        ))
+    return tuple(compiled)
+
+
+def lowered_headers(headers: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    """A response's ``(lower-cased name, value)`` pairs, for
+    :func:`first_match`."""
+    return tuple((name.lower(), value) for name, value in headers.items())
+
+
+def first_match(
+    compiled: tuple[tuple, ...], headers: tuple[tuple[str, str], ...]
+) -> HeaderRule | None:
+    """The first rule (in rule order) any header matches, or ``None`` —
+    ``next(r for r in rules if r.matches_any(headers))`` over
+    :func:`compile_rules` output and :func:`lowered_headers` pairs."""
+    for name, name_is_prefix, value, value_is_prefix, rule in compiled:
+        for header_name, header_value in headers:
+            if name_is_prefix:
+                if not header_name.startswith(name):
+                    continue
+            elif header_name != name:
+                continue
+            if value is None:
+                return rule
+            if value_is_prefix:
+                if header_value.startswith(value):
+                    return rule
+            elif header_value == value:
+                return rule
+    return None
 
 
 class HeaderSignal:
@@ -75,17 +137,63 @@ class HeaderSignal:
         4's variants); rejects when headers were captured but did not
         match; abstains only when *neither* port produced headers at all
         (a certificate-only corpus has no header channel to judge by).
+
+        A verdict depends on the candidate only through the interned
+        header tuples its two ports answered with, so the context's
+        :class:`_HeaderJudge` judges each tuple once and folds each
+        (HTTPS, HTTP) pair once.
         """
-        scan = context.scan
-        https_match, https_label = self._port_match(
-            context, _headers_at(scan, candidate.ip, 443)
-        )
-        http_match, http_label = self._port_match(
-            context, _headers_at(scan, candidate.ip, 80)
-        )
+        judge = context.memo.get(self.name)
+        if judge is None:
+            judge = context.memo[self.name] = _HeaderJudge(self.name, context)
+        return judge.verdict(candidate.ip)
+
+
+class _HeaderJudge:
+    """One :class:`SignalContext`'s header matching, compiled.
+
+    The hypergiant's and the edge CDNs' rules are compiled once, each
+    distinct interned header tuple is judged once, and each pair of
+    per-port answers becomes one shared :class:`SignalVerdict`.  It
+    lives in the context's memo, so nothing outlives the engine call.
+    """
+
+    __slots__ = ("name", "store", "mode", "rules", "nginx", "edges", "ports", "verdicts")
+
+    def __init__(self, name: str, context: SignalContext) -> None:
+        hypergiant = context.hypergiant
+        self.name = name
+        self.store = context.scan.store
+        self.mode = context.mode
+        self.rules = compile_rules(context.rules.get(hypergiant, ()))
+        self.nginx = context.netflix_nginx_rule and hypergiant == "netflix"
+        edges = []
+        if context.edge_priority and hypergiant not in EDGE_CDNS:
+            for edge in EDGE_CDNS:
+                compiled = compile_rules(context.rules.get(edge, ()))
+                if compiled:
+                    edges.append((edge, compiled))
+        self.edges = tuple(edges)
+        self.ports: dict[int, tuple[bool, str]] = {}
+        self.verdicts: dict[tuple[int | None, int | None], SignalVerdict] = {}
+
+    def verdict(self, ip: int) -> SignalVerdict:
+        store = self.store
+        key = (store.http_header_index(ip, 443), store.http_header_index(ip, 80))
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = self._fold(
+                self._port(key[0]), self._port(key[1])
+            )
+        return verdict
+
+    def _fold(
+        self, https: tuple[bool | None, str], http: tuple[bool | None, str]
+    ) -> SignalVerdict:
+        (https_match, https_label), (http_match, http_label) = https, http
         https_ok = bool(https_match)
         http_ok = bool(http_match)
-        if context.mode == "and":
+        if self.mode == "and":
             ok = https_ok and http_ok
         else:
             ok = https_ok or http_ok
@@ -101,42 +209,33 @@ class HeaderSignal:
             return SignalVerdict(self.name, ABSTAIN, evidence)
         return SignalVerdict(self.name, REJECT, evidence)
 
-    @staticmethod
-    def _port_match(
-        context: SignalContext, headers: dict[str, str] | None
-    ) -> tuple[bool | None, str]:
-        """One port's verdict: ``(matched, rule label)``.
+    def _port(self, header_index: int | None) -> tuple[bool | None, str]:
+        """One port's answer: ``(matched, rule label)``.
 
         ``matched`` is ``None`` when the corpus captured no headers for
         the port (distinct from a non-match: the channel was absent, not
-        contradictory).  The boolean outcomes replicate the original
-        ``confirm._port_match`` exactly; the label is the addition.
+        contradictory).
         """
-        if headers is None:
+        if header_index is None:
             return None, "no-headers"
-        hypergiant = context.hypergiant
-        matched_rule: str | None = None
-        for rule in context.rules.get(hypergiant, ()):
-            if rule.matches_any(headers):
-                matched_rule = rule_label(rule)
-                break
-        if (
-            matched_rule is None
-            and context.netflix_nginx_rule
-            and hypergiant == "netflix"
-            and is_default_nginx(headers)
-        ):
+        answer = self.ports.get(header_index)
+        if answer is None:
+            answer = self.ports[header_index] = self._judge(
+                dict(self.store.header_table[header_index])
+            )
+        return answer
+
+    def _judge(self, headers: dict[str, str]) -> tuple[bool, str]:
+        lowered = lowered_headers(headers)
+        rule = first_match(self.rules, lowered)
+        if rule is not None:
+            matched_rule = rule_label(rule)
+        elif self.nginx and is_default_nginx(headers):
             matched_rule = "default-nginx"
-        if matched_rule is None:
+        else:
             return False, "no-match"
-        if context.edge_priority and hypergiant not in EDGE_CDNS:
-            for edge in EDGE_CDNS:
-                if _matches(context.rules.get(edge, ()), headers):
-                    # The edge CDN operates this box, not the HG.
-                    return False, f"edge-conflict:{edge}"
+        for edge, compiled in self.edges:
+            if first_match(compiled, lowered) is not None:
+                # The edge CDN operates this box, not the HG.
+                return False, f"edge-conflict:{edge}"
         return True, matched_rule
-
-
-def _headers_at(scan, ip: int, port: int) -> dict[str, str] | None:
-    record = scan.http_for(ip, port)
-    return None if record is None else record.header_dict()

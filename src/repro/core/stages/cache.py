@@ -105,7 +105,8 @@ class DiskCache:
     published with ``os.replace``, so a reader — another worker process
     of the same run, or a ``--resume`` after a kill — either sees a
     complete artifact or nothing.  A corrupt or truncated entry (the
-    interrupted write ``--resume`` exists for) reads as a miss.
+    interrupted write ``--resume`` exists for), or one pickled by code
+    that has since changed, reads as a miss.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -119,12 +120,19 @@ class DiskCache:
         return self._path(key).exists()
 
     def get(self, key: str, heavy: bool = False) -> Artifact | None:
-        """Unpickle the artifact; corrupt or missing entries read as a miss."""
+        """Unpickle the artifact; a missing, corrupt or stale entry reads
+        as a miss.
+
+        Stale means pickled by other code: a class or module the
+        artifact names may no longer exist (``AttributeError``,
+        ``ModuleNotFoundError``) or may no longer accept its state.  Any
+        exception from loading is therefore a miss, and the stage
+        recomputes and overwrites the entry."""
         path = self._path(key)
         try:
             with path.open("rb") as handle:
                 value, fragment = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, ValueError):
+        except Exception:
             return None
         return value, fragment
 

@@ -459,10 +459,9 @@ def _run_netflix(
     )
     current_tls_ips = scan.unique_ips()
     restorable: dict[int, frozenset[ASN]] = {}
-    for record in scan.http_records:
-        if record.port != 80:
+    for ip, port in zip(scan.store.http_ip, scan.store.http_port):
+        if port != 80:
             continue
-        ip = record.ip
         if ip in current_tls_ips or ip in restorable:
             continue
         origins = ip2as.lookup(ip)

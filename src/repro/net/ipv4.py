@@ -185,13 +185,32 @@ SPECIAL_PURPOSE_PREFIXES: tuple[IPv4Prefix, ...] = tuple(
 )
 
 
+#: :data:`SPECIAL_PURPOSE_PREFIXES` as inclusive integer ``(first, last)``
+#: address ranges, computed once for :func:`is_bogon`.
+_SPECIAL_RANGES: tuple[tuple[int, int], ...] = tuple(
+    (special.network, special.network | special.host_mask)
+    for special in SPECIAL_PURPOSE_PREFIXES
+)
+
+
 def is_bogon(item: IPv4Address | IPv4Prefix | int) -> bool:
-    """True if the address or prefix falls inside any special-purpose block."""
+    """True if the address or prefix falls inside any special-purpose block.
+
+    A prefix is a bogon if it overlaps a special block in either direction
+    (covers it or is covered by it).  CIDR blocks overlap only by nesting,
+    so that is exactly when their address ranges intersect.
+    """
     if isinstance(item, IPv4Prefix):
-        # A prefix is a bogon if it overlaps a special block in either
-        # direction (covers it or is covered by it).
-        return any(
-            special.contains(item) or item.contains(special.first)
-            for special in SPECIAL_PURPOSE_PREFIXES
-        )
-    return any(special.contains(item) for special in SPECIAL_PURPOSE_PREFIXES)
+        first = item.network
+        last = first | (_MAX_IPV4 >> item.length)
+        for low, high in _SPECIAL_RANGES:
+            if first <= high and low <= last:
+                return True
+        return False
+    # An int outside the 32-bit range is judged by its low 32 bits, as
+    # a netmask test judges it.
+    value = (item.value if isinstance(item, IPv4Address) else item) & _MAX_IPV4
+    for low, high in _SPECIAL_RANGES:
+        if low <= value <= high:
+            return True
+    return False

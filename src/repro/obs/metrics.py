@@ -184,11 +184,15 @@ class MetricsRegistry:
     def counter_items(self, name: str) -> list[tuple[dict[str, str], int]]:
         """Every ``(labels, value)`` pair of one counter name, sorted by
         labels — the report builder's raw feed."""
-        return [
-            (dict(labels), metric.value)
-            for (metric_name, labels), metric in sorted(self._counters.items())
+        matching = [
+            (labels, metric.value)
+            for (metric_name, labels), metric in self._counters.items()
             if metric_name == name
         ]
+        # Label tuples are unique within one name, so the sort never
+        # reaches the values.
+        matching.sort()
+        return [(dict(labels), value) for labels, value in matching]
 
     def counters_by_label(self, name: str, label: str) -> dict[str, int]:
         """``{label value: summed counter value}`` for one counter name.

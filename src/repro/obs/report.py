@@ -220,6 +220,12 @@ def _stages_section(registry: MetricsRegistry) -> dict:
 
 
 def _funnel_section(registry: MetricsRegistry, snapshots) -> dict:
+    by_snapshot: dict[str, dict[str, dict[str, int]]] = {}
+    for name in _HG_COUNTERS:
+        for labels, value in registry.counter_items(f"funnel_{name}"):
+            hypergiants = by_snapshot.setdefault(labels.get("snapshot"), {})
+            hg = labels.get("hg", "?")
+            hypergiants.setdefault(hg, dict.fromkeys(_HG_COUNTERS, 0))[name] = value
     funnel: dict[str, dict] = {}
     for snapshot in snapshots:
         label = snapshot.label
@@ -227,13 +233,7 @@ def _funnel_section(registry: MetricsRegistry, snapshots) -> dict:
             name: registry.counter_value(f"funnel_{name}", snapshot=label)
             for name in _SNAPSHOT_COUNTERS
         }
-        hypergiants: dict[str, dict[str, int]] = {}
-        for name in _HG_COUNTERS:
-            for labels, value in registry.counter_items(f"funnel_{name}"):
-                if labels.get("snapshot") != label:
-                    continue
-                hg = labels.get("hg", "?")
-                hypergiants.setdefault(hg, dict.fromkeys(_HG_COUNTERS, 0))[name] = value
+        hypergiants = by_snapshot.get(label, {})
         entry["hypergiants"] = {hg: hypergiants[hg] for hg in sorted(hypergiants)}
         funnel[label] = entry
     return funnel

@@ -390,13 +390,23 @@ class SnapshotStore:
         On duplicate keys the last row wins — the semantics of the legacy
         ``{(r.ip, r.port): r}`` dict ``ScanSnapshot.http_for`` built, so
         §4.5 confirmation is unchanged."""
+        row = self._http_row(ip, port)
+        return None if row is None else self.http_record(row)
+
+    def http_header_index(self, ip: int, port: int) -> int | None:
+        """The :attr:`header_table` index of ``(ip, port)``'s response
+        (the row :meth:`http_lookup` returns), or ``None`` when the
+        scanner captured none — what per-header-tuple judges key on."""
+        row = self._http_row(ip, port)
+        return None if row is None else self.http_header[row]
+
+    def _http_row(self, ip: int, port: int) -> int | None:
         if self._http_by_key is None:
             self._http_by_key = {
                 (ip_, port_): row
                 for row, (ip_, port_) in enumerate(zip(self.http_ip, self.http_port))
             }
-        row = self._http_by_key.get((ip, port))
-        return None if row is None else self.http_record(row)
+        return self._http_by_key.get((ip, port))
 
     def stack_for(self, ip: int) -> tuple[str, str, str]:
         """The TLS stack features observed at ``ip`` (the unknown sentinel

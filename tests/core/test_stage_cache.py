@@ -8,6 +8,9 @@ switch recomputes only the stages downstream of it.
 """
 
 import json
+import pickle
+import sys
+import types
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.core import (
     PipelineOptions,
     build_offnet_graph,
 )
+from repro.core.stages import offnet
 from repro.obs.report import deterministic_view
 from repro.timeline import Snapshot
 from repro.world import build_world
@@ -202,6 +206,80 @@ class TestCachePlumbing:
                 Unfingerprinted(small_world),
                 PipelineOptions(cache_dir=str(tmp_path / "cache")),
             )
+
+
+def _stale_pickles(monkeypatch) -> dict[type, bytes]:
+    """Two artifacts pickled by code that has since changed: one names a
+    class its module no longer has, one a module that no longer exists.
+    Keyed by the exception unpickling them raises."""
+    with monkeypatch.context() as patch:
+        module = types.ModuleType("repro_retired_artifacts")
+        retired = type("RetiredArtifact", (), {"__module__": module.__name__})
+        module.RetiredArtifact = retired
+        patch.setitem(sys.modules, module.__name__, module)
+        renamed = type("RenamedArtifact", (), {"__module__": offnet.__name__})
+        patch.setattr(offnet, "RenamedArtifact", renamed, raising=False)
+        payloads = {
+            ModuleNotFoundError: pickle.dumps((retired(), {})),
+            AttributeError: pickle.dumps((renamed(), {})),
+        }
+    for error, payload in payloads.items():
+        with pytest.raises(error):
+            pickle.loads(payload)
+    return payloads
+
+
+class TestStaleArtifacts:
+    """An artifact pickled against a class or module that no longer
+    exists is a cache miss, never a crash."""
+
+    def test_vanished_class_or_module_reads_as_miss(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        for index, payload in enumerate(_stale_pickles(monkeypatch).values()):
+            key = f"{index:02x}" * 32
+            path = tmp_path / key[:2] / f"{key}.pkl"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(payload)
+            assert key in cache
+            assert cache.get(key) is None
+
+    def test_pipeline_recomputes_over_stale_artifacts(
+        self, small_world, tmp_path, monkeypatch
+    ):
+        """Every stage key of a run planted with a stale pickle: the run
+        misses, recomputes, overwrites, and reports the same funnel."""
+        payloads = list(_stale_pickles(monkeypatch).values())
+        snapshots = SNAPSHOTS[:2]
+        reference = OffnetPipeline(small_world, PipelineOptions(), cache=NullCache())
+        expected = deterministic_view(reference.run(snapshots=snapshots).report())
+
+        options = PipelineOptions(cache_dir=str(tmp_path / "cache"))
+        pipeline = OffnetPipeline(small_world, options)
+        planted = 0
+        for snapshot in snapshots:
+            keys = pipeline._graph.keys_for(options, pipeline.snapshot_token(snapshot))
+            for stage, key in keys.items():
+                if not pipeline._graph.stages[stage].cacheable:
+                    continue
+                path = tmp_path / "cache" / key[:2] / f"{key}.pkl"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(payloads[planted % len(payloads)])
+                planted += 1
+        assert planted > len(payloads)
+
+        report = pipeline.run(snapshots=snapshots).report()
+        assert json.dumps(deterministic_view(report), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert report["stage_cache"]["hits"] == 0
+        assert report["stage_cache"]["misses"] > 0
+
+        # The recompute replaced the stale entries: a fresh process hits.
+        warm = OffnetPipeline(small_world, options).run(snapshots=snapshots).report()
+        assert json.dumps(deterministic_view(warm), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert warm["stage_cache"]["misses"] == 0
 
 
 class TestDeprecatedSurfaceRemoved:

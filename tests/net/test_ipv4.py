@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import IPv4Address, IPv4Prefix, is_bogon
+from repro.net.ipv4 import SPECIAL_PURPOSE_PREFIXES
 
 addresses = st.integers(min_value=0, max_value=2**32 - 1).map(IPv4Address)
 prefix_lengths = st.integers(min_value=0, max_value=32)
@@ -118,3 +119,68 @@ class TestBogons:
     def test_covering_prefix_is_bogon(self):
         # A /6 that covers 10/8 overlaps special space.
         assert is_bogon(IPv4Prefix.parse("8.0.0.0/6"))
+
+
+def _contains_bogon(item) -> bool:
+    """The containment definition of a bogon: a special block contains
+    the item, or (for a prefix) the item covers the block."""
+    if isinstance(item, IPv4Prefix):
+        return any(
+            special.contains(item) or item.contains(special.first)
+            for special in SPECIAL_PURPOSE_PREFIXES
+        )
+    return any(special.contains(item) for special in SPECIAL_PURPOSE_PREFIXES)
+
+
+def _near_special(draw_index, edge, delta):
+    """An address at, or one off, an edge of one special block."""
+    special = SPECIAL_PURPOSE_PREFIXES[draw_index]
+    anchor = special.network if edge == "first" else special.last.value
+    return min(max(anchor + delta, 0), 2**32 - 1)
+
+
+#: Addresses anywhere, plus addresses at and just outside each special
+#: block's first and last address, so prefixes built on them cover, sit
+#: inside or abut the block.
+bogon_probe_addresses = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.builds(
+        _near_special,
+        st.integers(min_value=0, max_value=len(SPECIAL_PURPOSE_PREFIXES) - 1),
+        st.sampled_from(("first", "last")),
+        st.integers(min_value=-1, max_value=1),
+    ),
+)
+
+
+class TestBogonRanges:
+    """The integer-range filter against the containment definition."""
+
+    @given(bogon_probe_addresses, prefix_lengths)
+    def test_prefix_agrees_with_containment(self, value, length):
+        prefix = IPv4Prefix.from_address(value, length)
+        assert is_bogon(prefix) == _contains_bogon(prefix)
+
+    @given(bogon_probe_addresses)
+    def test_address_and_int_agree_with_containment(self, value):
+        expected = _contains_bogon(value)
+        assert is_bogon(value) == expected
+        assert is_bogon(IPv4Address(value)) == expected
+
+    @pytest.mark.parametrize("special", SPECIAL_PURPOSE_PREFIXES, ids=str)
+    def test_every_length_at_block_edges(self, special):
+        """Prefixes of every length on each block's first and last
+        address and on the addresses just outside them: they cover the
+        block, sit inside it or abut it."""
+        for anchor in (
+            special.network - 1,
+            special.network,
+            special.last.value,
+            special.last.value + 1,
+        ):
+            if not 0 <= anchor < 2**32:
+                continue
+            assert is_bogon(anchor) == _contains_bogon(anchor)
+            for length in range(33):
+                prefix = IPv4Prefix.from_address(anchor, length)
+                assert is_bogon(prefix) == _contains_bogon(prefix), prefix

@@ -41,6 +41,25 @@ class TestCounter:
         assert MetricsRegistry().counter_value("never") == 0
 
 
+    def test_counter_items_filters_one_name_sorted_by_labels(self):
+        registry = MetricsRegistry()
+        registry.counter("funnel_confirmed", hg="google", snapshot="2020-10").inc(2)
+        registry.counter("funnel_candidates", hg="akamai", snapshot="2020-10").inc(9)
+        registry.counter("funnel_confirmed", hg="akamai", snapshot="2021-04").inc(3)
+        registry.counter("funnel_confirmed_total").inc(7)
+        registry.counter("funnel_confirmed", hg="akamai", snapshot="2020-10").inc(1)
+        registry.gauge("funnel_confirmed_gauge").set(5.0)
+        assert registry.counter_items("funnel_confirmed") == [
+            ({"hg": "akamai", "snapshot": "2020-10"}, 1),
+            ({"hg": "akamai", "snapshot": "2021-04"}, 3),
+            ({"hg": "google", "snapshot": "2020-10"}, 2),
+        ]
+        assert registry.counter_items("funnel_candidates") == [
+            ({"hg": "akamai", "snapshot": "2020-10"}, 9)
+        ]
+        assert registry.counter_items("never_booked") == []
+
+
 class TestGauge:
     def test_set_and_add(self):
         gauge = Gauge()

@@ -152,7 +152,6 @@ class TestMatchEquivalence:
                 k for k in pipeline._keywords if k in organization.lower()
             )
             assert org_hgs[store.chain_org[chain_index]] == expected_hgs
-            assert pipeline._hgs_for_org(organization) == expected_hgs
             # The interned dNSName tuple is the record's own names, lowered.
             assert store.lowered_dns(chain_index) == tuple(
                 name.lower() for name in record.certificate.dns_names

@@ -144,9 +144,13 @@ class TestHttpLookup:
         store.add_http(1, 443, (("Server", "second"),))
         record = store.http_lookup(1, 443)
         assert record is not None and record.header_dict()["Server"] == "second"
+        assert store.header_table[store.http_header_index(1, 443)] == (
+            ("Server", "second"),
+        )
 
     def test_missing_key_is_none(self):
         assert SnapshotStore().http_lookup(1, 443) is None
+        assert SnapshotStore().http_header_index(1, 443) is None
 
     def test_index_rebuilt_after_ingest(self):
         store = SnapshotStore()
