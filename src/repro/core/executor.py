@@ -23,9 +23,13 @@ copy-on-write duplicated into every child); each worker then ships home
 only *light* cargo: picklable outcomes, light stage artifacts for the
 parent's cache (:meth:`~repro.core.pipeline.OffnetPipeline.seed_artifacts`),
 and a small stats fragment (peak RSS, snapshot count) that surfaces in
-:meth:`ParallelExecutor.describe`.  Heavy per-row artifacts never ride
-the pickle channel — workers of a shared ``--cache-dir`` run exchange
-those through the atomic on-disk tier instead.
+:meth:`ParallelExecutor.describe`.  Heavy per-row artifacts (the §4.2
+match rows) never ride the pickle channel — workers of a shared
+``--cache-dir`` run exchange those through the atomic on-disk tier
+instead, and the §4.1 validated-record list is recomputed, never
+stored.  A worker of a ``--cache-dir`` run has already written every
+artifact it ships to that shared disk tier, so the parent adopts the
+shipped copies into its memory tier only.
 
 Because shards partition the snapshots *in order* and the merge is an
 explicit ordered reduction over the flattened outcomes, both executors

@@ -47,6 +47,7 @@ from repro.core.footprint import FootprintSnapshot, PipelineResult, SnapshotOutc
 from repro.core.header_fingerprint import learn_header_fingerprints
 from repro.core.signals import parse_policy, signal_names
 from repro.core.stages import (
+    RULE_STAGES,
     TERMINAL_STAGES,
     ArtifactCache,
     DiskCache,
@@ -304,10 +305,7 @@ class OffnetPipeline:
         ``options.jobs`` selects), then merged in snapshot order.
         """
         snapshots = self.select_snapshots(snapshots)
-        if self.options.header_confirmation:
-            # Learn the §4.4 rules once in the parent so forked workers
-            # inherit them instead of re-learning per process.
-            self.header_rules()
+        self._learn_unless_cached(snapshots, RULE_STAGES)
         if executor is None:
             executor = make_executor(self.options.jobs, self.options.shard_size)
         outcomes = executor.map_snapshots(self, snapshots)
@@ -389,12 +387,13 @@ class OffnetPipeline:
         """Force only ``targets`` (plus dependencies) per snapshot — the
         CLI's ``--stages``, for warming a cache or debugging a subgraph —
         and return the merged metrics (stage timings + cache events)."""
-        if self.options.header_confirmation and (
-            {"confirm", "netflix"} & set(self._graph.closure(targets))
-        ):
-            self.header_rules()
+        snapshots = self.select_snapshots(snapshots)
+        closure = self._graph.closure(targets)
+        self._learn_unless_cached(
+            snapshots, tuple(name for name in RULE_STAGES if name in closure)
+        )
         merged = MetricsRegistry()
-        for snapshot in self.select_snapshots(snapshots):
+        for snapshot in snapshots:
             registry = MetricsRegistry()
             self._graph.execute(
                 StageContext(pipeline=self, snapshot=snapshot, options=self.options),
@@ -408,9 +407,16 @@ class OffnetPipeline:
 
     def seed_artifacts(self, shipped: list[tuple[str, str, object]]) -> None:
         """Adopt light artifacts computed elsewhere (a forked worker's
-        homeward shipment) into this process's cache."""
+        homeward shipment) into this process's cache.
+
+        A tiered cache adopts them into its memory tier only: the worker
+        that shipped them shares the disk tier and already wrote them
+        there."""
+        cache = self._cache
+        if isinstance(cache, TieredCache):
+            cache = cache.memory
         for key, _stage, artifact in shipped:
-            self._cache.put(key, artifact)  # type: ignore[arg-type]
+            cache.put(key, artifact)  # type: ignore[arg-type]
 
     # -- the shard surface (the parallel executor's unit of work) ----------------
 
@@ -483,6 +489,21 @@ class OffnetPipeline:
         return snapshot_fingerprint(self._source_token, self.options.corpus, snapshot)
 
     # -- internals ---------------------------------------------------------------
+
+    def _learn_unless_cached(
+        self, snapshots: tuple[Snapshot, ...], stages: tuple[str, ...]
+    ) -> None:
+        """Learn the §4.4 rules up front unless every ``stages`` artifact
+        of every snapshot is already cached, so that no stage reading
+        the rules can run.  Learning here, in the parent, lets forked
+        workers inherit the rules instead of re-learning per process; a
+        cached artifact that then reads as a miss (stale, corrupt) still
+        learns them lazily inside the stage."""
+        if not self.options.header_confirmation or not stages:
+            return
+        probe = self.probe_cache(snapshots)
+        if not all(flags[name] for flags in probe.values() for name in stages):
+            self.header_rules()
 
     def _learn_rules(self) -> dict[str, tuple[HeaderRule, ...]] | None:
         options = self.options

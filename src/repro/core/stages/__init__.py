@@ -26,6 +26,7 @@ from repro.core.stages.keys import (
     source_fingerprint,
 )
 from repro.core.stages.offnet import (
+    RULE_STAGES,
     TERMINAL_STAGES,
     CandidateSet,
     ConfirmResult,
@@ -38,6 +39,7 @@ from repro.core.stages.offnet import (
 
 __all__ = [
     "KEY_FORMAT",
+    "RULE_STAGES",
     "STAGE_CACHE_EVENTS",
     "TERMINAL_STAGES",
     "Artifact",

@@ -92,7 +92,8 @@ class Stage:
     #: old version string.
     version: str = "1"
     #: Whether the artifact may be cached at all (the corpus-loading
-    #: root stage is not: its value is the live store object).
+    #: root stage is not: its value is the live store object; nor is
+    #: §4.1 validation, which recomputes faster than it unpickles).
     cacheable: bool = True
     #: Heavy artifacts (per-row payloads) skip the memory tier and are
     #: never shipped across the fork boundary.
@@ -241,16 +242,15 @@ class StageGraph:
     def probe(
         self, options: Any, snapshot_token: str, cache: ArtifactCache
     ) -> dict[str, bool]:
-        """Which stages already have a cached artifact (no execution) —
-        what ``--resume`` reports before restarting an interrupted run."""
+        """Which cacheable stages already have an artifact (no execution) —
+        what ``--resume`` reports before restarting an interrupted run.
+        Uncached stages have no artifact to ask about and are left out;
+        a cache that cannot answer membership (no ``__contains__``)
+        reports every stage as not cached."""
         keys = self.keys_for(options, snapshot_token)
-        report: dict[str, bool] = {}
-        for name in self.order:
-            stage = self.stages[name]
-            if not stage.cacheable:
-                report[name] = False
-            elif hasattr(cache, "__contains__"):
-                report[name] = keys[name] in cache
-            else:
-                report[name] = cache.get(keys[name], heavy=stage.heavy) is not None
-        return report
+        known = hasattr(cache, "__contains__")
+        return {
+            name: known and keys[name] in cache
+            for name in self.order
+            if self.stages[name].cacheable
+        }

@@ -19,9 +19,15 @@ Three tiers compose:
   ``--resume`` reads after an interrupted run.
 * :class:`TieredCache` — memory in front of disk, promoting disk hits.
 
-Heavy artifacts (per-row payloads like the §4.1 validated-record list)
+Heavy artifacts (per-row payloads like the §4.2 org-matched rows)
 skip the memory tier — see ``Stage.heavy`` — so a long run's resident
-set stays bounded while the disk tier still captures everything.
+set stays bounded while the disk tier still captures them.  Uncached
+stages (``Stage.cacheable=False``: the corpus load and the §4.1
+validated-record list, cheaper to recompute than to unpickle) never
+reach a cache at all.
+
+Every disk entry is a pickle, and unpickling runs the code it names:
+the cache directory is a trust boundary (see :class:`DiskCache`).
 """
 
 from __future__ import annotations
@@ -107,6 +113,10 @@ class DiskCache:
     complete artifact or nothing.  A corrupt or truncated entry (the
     interrupted write ``--resume`` exists for), or one pickled by code
     that has since changed, reads as a miss.
+
+    Every entry is a pickle, and loading one runs whatever code it
+    names, so the directory is a trust boundary: point ``--cache-dir``
+    only at a directory that only trusted users can write.
     """
 
     def __init__(self, directory: str | Path) -> None:

@@ -7,7 +7,7 @@ edges, typed artifacts, and per-stage option subsets:
 .. code-block:: text
 
     scan ──┬── ingest                       (corpus shape counters)
-           ├── validate ── vstats           (§4.1, heavy / light split)
+           ├── validate ── vstats           (§4.1, recomputed / light)
            └──┬───────┘
               match ──┬── onnet             (§4.2 + org→HG matching)
                       └── candidates        (§4.3 + Cloudflare filter)
@@ -16,18 +16,23 @@ edges, typed artifacts, and per-stage option subsets:
 
 Design rules the cache correctness rests on:
 
-* **Heavy/light split** — stages whose values scale with the corpus row
-  count (``validate``, ``match``) are marked ``heavy``: disk-tier only,
-  never shipped across the fork boundary, and *not* consumed by the
-  terminal artifacts, so a warm run reuses the light suffix without
-  unpickling per-row payloads.
+* **Uncached stages** — ``scan`` (the live corpus view) and ``validate``
+  (the §4.1 per-row verdicts) are recomputed, never stored.  Every
+  consumer of ``validate`` also depends on ``scan``, so any run that
+  needs the verdicts has already loaded the corpus, and the §4.1 verdict
+  depends only on (chain, scan date): the validator's cross-snapshot
+  caches recompute the list faster than a pickle of it would load.
+* **Heavy/light split** — ``match``, whose value scales with the corpus
+  row count, is marked ``heavy``: disk-tier only, never shipped across
+  the fork boundary, and *not* consumed by the terminal artifacts, so a
+  warm run reuses the light suffix without unpickling per-row payloads.
 * **Funnel counters live in light stages** — every counter the run
   report's deterministic ``funnel`` section reads (``funnel_*``) is
   emitted by a terminal light stage (``ingest``, ``vstats``, ``onnet``,
   ``candidates``, ``confirm``), so replaying cached fragments books
   bit-identical funnel counts whether a stage ran or hit.
 * **Option subsets are minimal** — flipping ``require_all_dnsnames``
-  re-keys ``candidates`` and its dependents only; ``scan`` through
+  re-keys ``candidates`` and its dependents only; ``ingest`` through
   ``onnet`` keep their artifacts.
 
 The pipeline façade targets :data:`TERMINAL_STAGES` and assembles the
@@ -50,6 +55,7 @@ from repro.net.asn import ASN
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "RULE_STAGES",
     "TERMINAL_STAGES",
     "CandidateSet",
     "ConfirmResult",
@@ -79,6 +85,11 @@ _CONFIRM_OPTIONS = (
 #: every deterministic funnel counter and everything outcome assembly
 #: reads, so a fully warm run touches nothing else.
 TERMINAL_STAGES = ("ingest", "vstats", "onnet", "candidates", "confirm", "netflix")
+
+#: The stages whose bodies read the learned §4.4 header rules
+#: (``pipeline.header_rules()``): a run whose artifacts for these are all
+#: cached never needs the rules.
+RULE_STAGES = ("confirm", "netflix")
 
 
 # -- typed artifacts -----------------------------------------------------------
@@ -219,7 +230,7 @@ def _run_vstats(
     # The §4.1 dedup payoff (one verification per unique chain, verdicts
     # broadcast over the rows) is booked here — in a light, cacheable
     # stage — so the report's store section replays bit-identically on
-    # warm-cache runs; the heavy validate stage's fragment never does.
+    # warm-cache runs; the uncached validate stage never runs on them.
     if ctx.options.validate_certificates:
         counters.counter("validation_work", unit="unique_chains").inc(
             len(scan.store.chains)
@@ -512,7 +523,9 @@ def build_offnet_graph() -> StageGraph:
                 deps=("scan",),
                 option_keys=("validate_certificates",),
                 run=_run_validate,
-                heavy=True,
+                # Recomputed, like scan: the validator's cross-snapshot
+                # caches rebuild the row list faster than a pickle loads.
+                cacheable=False,
                 produces="(list[ValidatedRecord], ValidationStats) — §4.1",
             ),
             Stage(

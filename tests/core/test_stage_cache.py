@@ -8,6 +8,7 @@ switch recomputes only the stages downstream of it.
 """
 
 import json
+import os
 import pickle
 import sys
 import types
@@ -290,3 +291,125 @@ class TestDeprecatedSurfaceRemoved:
         pipeline = OffnetPipeline(small_world)
         assert not hasattr(pipeline, "world")
         assert pipeline.source is small_world
+
+
+def _view_json(result) -> str:
+    return json.dumps(deterministic_view(result.report()), sort_keys=True)
+
+
+class TestCacheContents:
+    """What a disk-cached run stores, and which process writes it."""
+
+    def test_cold_run_stores_one_artifact_per_cacheable_stage(
+        self, small_world, tmp_path
+    ):
+        """``scan`` and ``validate`` are recomputed, never stored: the
+        cache holds exactly one artifact per cacheable stage per
+        snapshot, and neither the report nor the probe names them."""
+        cache_dir = tmp_path / "cache"
+        options = PipelineOptions(cache_dir=str(cache_dir))
+        pipeline = OffnetPipeline(small_world, options)
+        report = pipeline.run(snapshots=SNAPSHOTS).report()
+
+        graph = pipeline._graph
+        cacheable = {name for name, stage in graph.stages.items() if stage.cacheable}
+        assert {"scan", "validate"}.isdisjoint(cacheable)
+        expected: set[str] = set()
+        validate_keys: set[str] = set()
+        for snapshot in SNAPSHOTS:
+            keys = graph.keys_for(options, pipeline.snapshot_token(snapshot))
+            expected |= {keys[name] for name in cacheable}
+            validate_keys.add(keys["validate"])
+        stored = [path.stem for path in cache_dir.rglob("*.pkl")]
+        assert len(stored) == len(SNAPSHOTS) * len(cacheable)
+        assert set(stored) == expected
+        assert validate_keys.isdisjoint(stored)
+
+        assert "validate" not in report["stage_cache"]["stages"]
+        probe = pipeline.probe_cache(snapshots=SNAPSHOTS)
+        assert all(set(flags) == cacheable for flags in probe.values())
+
+    def test_parent_rewrites_no_artifact_a_worker_stored(
+        self, small_world, tmp_path, monkeypatch
+    ):
+        """Workers of a ``jobs=2`` run write their artifacts to the shared
+        disk tier; the parent adopts the shipped copies into memory only."""
+        parent = os.getpid()
+        parent_puts: list[str] = []
+        put = DiskCache.put
+
+        def counting_put(self, key, artifact, heavy=False):
+            if os.getpid() == parent:
+                parent_puts.append(key)
+            return put(self, key, artifact, heavy)
+
+        monkeypatch.setattr(DiskCache, "put", counting_put)
+        cache_dir = tmp_path / "cache"
+        options = PipelineOptions(jobs=2, cache_dir=str(cache_dir))
+        result = OffnetPipeline(small_world, options).run(snapshots=SNAPSHOTS)
+        assert not result.report()["executor"]["fallback_serial"]
+        assert any(cache_dir.rglob("*.pkl")), "the workers stored nothing"
+        assert parent_puts == []
+
+
+class TestWarmRunsLearnNothing:
+    """The §4.4 rules are learned up front only when some ``confirm`` or
+    ``netflix`` artifact is missing — then once, in the parent."""
+
+    #: Two snapshots: enough for two shards at ``jobs=2``.
+    PAIR = SNAPSHOTS[:2]
+
+    @pytest.fixture
+    def learned(self, tmp_path, monkeypatch):
+        """The pids of every ``_learn_rules`` call so far, read from a log
+        file so that calls in forked workers count too."""
+        log = tmp_path / "learn.log"
+        learn = OffnetPipeline._learn_rules
+
+        def logged(pipeline):
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return learn(pipeline)
+
+        monkeypatch.setattr(OffnetPipeline, "_learn_rules", logged)
+        return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
+
+    def test_serial_warm_run_over_shared_memory_cache(self, small_world, learned):
+        cache = MemoryCache()
+        cold = OffnetPipeline(small_world, PipelineOptions(), cache=cache).run(
+            snapshots=self.PAIR
+        )
+        assert learned() == [str(os.getpid())]
+        warm = OffnetPipeline(small_world, PipelineOptions(), cache=cache).run(
+            snapshots=self.PAIR
+        )
+        assert len(learned()) == 1, "the warm run learned the rules"
+        assert _view_json(warm) == _view_json(cold)
+
+    def test_parallel_warm_run_over_disk_cache(self, small_world, tmp_path, learned):
+        options = PipelineOptions(jobs=2, cache_dir=str(tmp_path / "cache"))
+        cold = OffnetPipeline(small_world, options).run(snapshots=self.PAIR)
+        assert learned() == [str(os.getpid())]
+        warm = OffnetPipeline(small_world, options).run(snapshots=self.PAIR)
+        assert not warm.report()["executor"]["fallback_serial"]
+        assert len(learned()) == 1, "the warm run learned the rules"
+        assert _view_json(warm) == _view_json(cold)
+
+    def test_missing_confirm_artifact_learns_once_in_the_parent(
+        self, small_world, tmp_path, learned
+    ):
+        cache_dir = tmp_path / "cache"
+        options = PipelineOptions(jobs=2, cache_dir=str(cache_dir))
+        pipeline = OffnetPipeline(small_world, options)
+        cold = pipeline.run(snapshots=self.PAIR)
+        token = pipeline.snapshot_token(self.PAIR[-1])
+        key = pipeline._graph.keys_for(options, token)["confirm"]
+        (cache_dir / key[:2] / f"{key}.pkl").unlink()
+
+        before = len(learned())
+        resumed = OffnetPipeline(small_world, options).run(snapshots=self.PAIR)
+        report = resumed.report()
+        assert not report["executor"]["fallback_serial"]
+        assert report["stage_cache"]["stages"]["confirm"]["miss"] == 1
+        assert learned()[before:] == [str(os.getpid())]
+        assert _view_json(resumed) == _view_json(cold)
