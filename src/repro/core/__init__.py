@@ -9,17 +9,23 @@ footprints.
   rule applied outside the HG's ASes.
 * :mod:`repro.core.header_fingerprint` — §4.4 learning HTTP(S) header
   fingerprints from on-net responses (automating the paper's manual step).
-* :mod:`repro.core.confirm` — §4.5 confirming candidates with headers,
-  including the Netflix default-nginx acceptance and the §7 edge-CDN
-  conflict priority.
+* :mod:`repro.core.signals` — §4.5 confirming candidates: one signal
+  engine pass per (hypergiant, snapshot) judges each candidate with the
+  configured signals (headers, with the Netflix default-nginx
+  acceptance and the §7 edge-CDN conflict priority, by default) and
+  yields both of Figure 4's "or" and "and" variants;
+  :mod:`repro.core.confirm` is the header-only façade the §6.2
+  expired-certificate variant still uses.
 * :mod:`repro.core.cloudflare` — the §7 Cloudflare customer-certificate
   filter.
 * :mod:`repro.core.netflix` — the §6.2 Netflix envelope restoration
-  (expired certificates, HTTP-only era).
-* :mod:`repro.core.footprint_index` — the persistent
-  :class:`FootprintIndex` query surface over per-snapshot footprints
-  (in-memory adapter for batch results, durable on-disk store for the
-  incremental ``repro serve`` path).
+  (expired certificates, HTTP-only era), including the one
+  cross-snapshot fold both the batch merge and the durable index run.
+* :mod:`repro.core.footprint` / :mod:`repro.core.footprint_index` — the
+  :class:`FootprintIndex` query surface over per-snapshot footprints and
+  its two implementations: the batch :class:`PipelineResult` and the
+  :class:`IndexView` a :class:`DurableFootprintIndex` (the on-disk store
+  behind the incremental ``repro serve`` path) publishes per commit.
 * :mod:`repro.core.pipeline` — the longitudinal orchestration producing
   every number the evaluation section reports, split into a pure
   per-snapshot phase and an ordered cross-snapshot merge.
@@ -47,18 +53,12 @@ from repro.core.executor import (
     make_executor,
 )
 from repro.core.footprint import (
-    FootprintQueries,
+    FootprintIndex,
     FootprintSnapshot,
     PipelineResult,
     SnapshotOutcome,
 )
-from repro.core.footprint_index import (
-    DurableFootprintIndex,
-    FootprintIndex,
-    IndexView,
-    ResultIndex,
-    index_of,
-)
+from repro.core.footprint_index import DurableFootprintIndex, IndexView
 from repro.core.header_fingerprint import learn_header_fingerprints
 from repro.core.netflix import NetflixEnvelope, restore_netflix
 from repro.core.pipeline import OffnetPipeline, PipelineOptions
@@ -94,12 +94,9 @@ __all__ = [
     "FootprintSnapshot",
     "SnapshotOutcome",
     "PipelineResult",
-    "FootprintQueries",
     "FootprintIndex",
-    "ResultIndex",
     "IndexView",
     "DurableFootprintIndex",
-    "index_of",
     "OffnetPipeline",
     "PipelineOptions",
     "SnapshotExecutor",

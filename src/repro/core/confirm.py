@@ -15,9 +15,10 @@ Since the multi-signal refactor this module is a façade: the matching
 logic lives in :mod:`repro.core.signals.header` (the ``header`` signal),
 and :func:`confirm_candidates` runs the signal engine with the
 ``paper-default`` combine policy over the header signal alone — the
-configuration that reproduces the original behaviour bit for bit.
-Callers that want more channels (TLS stacks, certificate corroboration)
-or a different fold use :func:`repro.core.signals.evaluate_candidates`
+configuration that reproduces the original behaviour bit for bit — and
+keeps its "http or https" confirmations.  Callers that want more
+channels (TLS stacks, certificate corroboration), a different fold or
+Figure 4's "and" variant use :func:`repro.core.signals.evaluate_candidates`
 directly, as the confirm stage does.
 """
 
@@ -30,7 +31,6 @@ from repro.core.signals.engine import evaluate_candidates
 from repro.core.signals.header import EDGE_CDNS, HeaderSignal, is_default_nginx
 from repro.core.signals.policy import PaperDefaultPolicy
 from repro.hypergiants.profiles import HeaderRule
-from repro.obs.metrics import MetricsRegistry
 from repro.scan.records import ScanSnapshot
 
 __all__ = ["EDGE_CDNS", "ConfirmedOffnet", "confirm_candidates", "is_default_nginx"]
@@ -59,21 +59,12 @@ def confirm_candidates(
     candidates: list[Candidate],
     scan: ScanSnapshot,
     rules: dict[str, tuple[HeaderRule, ...]],
-    mode: str = "or",
     netflix_nginx_rule: bool = True,
     edge_priority: bool = True,
-    registry: MetricsRegistry | None = None,
 ) -> list[ConfirmedOffnet]:
-    """Confirm candidates against the header corpus of ``scan``.
-
-    ``mode`` selects Figure 4's variants: ``"or"`` confirms when either the
-    HTTP or the HTTPS response matches, ``"and"`` requires both corpuses to
-    agree (missing corpus ⇒ no match in that corpus).
-
-    When ``registry`` is given, the pass counts its own funnel step:
-    ``confirm_checked_total{hg,mode}`` candidates examined,
-    ``confirm_passed_total{hg,mode,matched_on}`` survivors by which
-    port(s) produced the match.
+    """Confirm candidates against the header corpus of ``scan``: a
+    candidate passes when either its HTTP or its HTTPS response matches
+    (Figure 4's default "or" variant).  Books no counters.
     """
     decisions = evaluate_candidates(
         hypergiant,
@@ -82,11 +73,8 @@ def confirm_candidates(
         rules,
         signals=(HeaderSignal(),),
         policy=PaperDefaultPolicy(),
-        mode=mode,
         netflix_nginx_rule=netflix_nginx_rule,
         edge_priority=edge_priority,
-        registry=registry,
-        book_signals=False,
     )
     return [
         ConfirmedOffnet(

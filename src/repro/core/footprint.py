@@ -8,14 +8,15 @@ lets :class:`~repro.core.executor.ParallelExecutor` compute them in worker
 processes and merge them in the parent in snapshot order — bit-identical
 to a sequential run.
 
-:class:`FootprintQueries` is the longitudinal query surface every
+:class:`FootprintIndex` is the longitudinal query surface every
 analysis module consumes.  It is deliberately defined here (next to the
-data it reads) and inherited both by :class:`PipelineResult` and by the
-:class:`~repro.core.footprint_index.FootprintIndex` backends, so batch
-results and persistent indexes answer the same questions identically.
-Analysis code imports the surface from
-:mod:`repro.core.footprint_index`; nothing outside the core should
-touch ``PipelineResult.by_snapshot`` directly.
+data it reads) and is the one base class of both implementations: the
+batch :class:`PipelineResult` and the durable index's committed
+:class:`~repro.core.footprint_index.IndexView`, so batch results and
+persistent indexes answer the same questions identically.  Analysis
+code imports the surface from :mod:`repro.core.footprint_index`;
+nothing outside the core should touch ``PipelineResult.by_snapshot``
+directly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.timeline import Snapshot
 __all__ = [
     "FootprintSnapshot",
     "SnapshotOutcome",
-    "FootprintQueries",
+    "FootprintIndex",
     "PipelineResult",
 ]
 
@@ -113,8 +114,9 @@ class SnapshotOutcome:
         return _cache_stats(self.metrics)
 
 
-class FootprintQueries:
-    """The longitudinal query surface over per-snapshot footprints.
+class FootprintIndex:
+    """The longitudinal query surface over per-snapshot footprints: an
+    ordered corpus of footprint snapshots.
 
     Implementations provide ``corpus``, ``snapshots`` (ordered) and
     :meth:`at`; every derived query — counts, series, AS sets, diffs —
@@ -237,7 +239,7 @@ class FootprintQueries:
 
 
 @dataclass(slots=True)
-class PipelineResult(FootprintQueries):
+class PipelineResult(FootprintIndex):
     """The pipeline's output across a corpus's snapshots."""
 
     corpus: str

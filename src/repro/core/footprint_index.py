@@ -1,23 +1,28 @@
-"""The persistent :class:`FootprintIndex` — footprints as a queryable store.
+"""The persistent footprint index — footprints as a queryable store.
 
 The batch pipeline's output is a single in-memory
 :class:`~repro.core.footprint.PipelineResult`.  That is the wrong shape
 for a long-running service: it exists only for the duration of one run,
-and rebuilding it means re-running every snapshot.  This module turns the
-per-snapshot footprint data into an *index* with a stable query surface
-(:class:`~repro.core.footprint.FootprintQueries`) and two backends:
+and rebuilding it means re-running every snapshot.  This module keeps the
+per-snapshot footprint data in a durable store instead.  One query
+surface, :class:`~repro.core.footprint.FootprintIndex` (re-exported
+here), has two implementations:
 
-* :class:`ResultIndex` — a zero-copy adapter over a ``PipelineResult``,
-  so the one-shot batch path keeps working unchanged;
-* :class:`DurableFootprintIndex` — an on-disk, per-snapshot store under a
-  *state directory*, updated incrementally: each snapshot's pure outcome
-  (:class:`~repro.core.footprint.SnapshotOutcome`) is folded in under a
-  content-addressed token, and :meth:`~DurableFootprintIndex.commit`
-  recomputes the one piece of cross-snapshot state (the §6.2 Netflix
-  restoration) over the ordered timeline.  Because the restoration fold
-  runs at commit time, snapshots may arrive in **any order** — shuffled
-  incremental ingestion produces a view bit-identical to a from-scratch
-  batch run, a property the test suite asserts.
+* ``PipelineResult`` — the batch result, queried as-is;
+* :class:`IndexView` — an immutable committed view of a
+  :class:`DurableFootprintIndex`.
+
+:class:`DurableFootprintIndex` is the store: an on-disk, per-snapshot
+record under a *state directory*, updated incrementally.  Each
+snapshot's pure outcome (:class:`~repro.core.footprint.SnapshotOutcome`)
+is folded in under a content-addressed token, and
+:meth:`~DurableFootprintIndex.commit` recomputes the one piece of
+cross-snapshot state (the §6.2 Netflix restoration,
+:func:`~repro.core.netflix.restore_http_only`) over the ordered
+timeline and publishes a new view.  Because the restoration fold runs at
+commit time, snapshots may arrive in **any order** — shuffled
+incremental ingestion produces a view bit-identical to a from-scratch
+batch run, a property the test suite asserts.
 
 Analysis modules import their query surface from here (never from
 ``PipelineResult`` internals — a lint test enforces it), so every
@@ -32,78 +37,33 @@ On-disk layout of a state directory::
 
 All writes are atomic (temp file + ``os.replace``), and JSON payloads
 serialize sets as sorted lists, so identical data produces identical
-bytes.
+bytes.  A removed snapshot's payload is unlinked only by the commit
+whose manifest no longer lists it, so a kill between ``remove()`` and
+``commit()`` leaves a state directory that reopens at its last commit.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Mapping
 
-from repro.core.footprint import (
-    FootprintQueries,
-    FootprintSnapshot,
-    PipelineResult,
-    SnapshotOutcome,
-)
+from repro.core.footprint import FootprintIndex, FootprintSnapshot, SnapshotOutcome
+from repro.core.netflix import restore_http_only
 from repro.core.validation import ValidationStats
-from repro.net.asn import ASN
 from repro.timeline import Snapshot, ordered_snapshots
 
 __all__ = [
     "INDEX_FORMAT",
     "FootprintIndex",
-    "ResultIndex",
     "IndexView",
     "DurableFootprintIndex",
-    "index_of",
 ]
 
 #: Version tag written into every manifest and payload file; bump on any
 #: incompatible layout change so stale state directories fail loudly.
 INDEX_FORMAT = "repro.footprint-index/1"
-
-
-class FootprintIndex(FootprintQueries, ABC):
-    """The abstract index: an ordered corpus of footprint snapshots.
-
-    Concrete backends provide :attr:`corpus`, :attr:`snapshots` and
-    :meth:`at`; every longitudinal query is inherited from
-    :class:`~repro.core.footprint.FootprintQueries`.
-    ``PipelineResult`` is registered as a virtual subclass, so analysis
-    code annotated with ``FootprintIndex`` accepts batch results as-is.
-    """
-
-    @abstractmethod
-    def at(self, snapshot: Snapshot) -> FootprintSnapshot:
-        """The footprint snapshot for one date."""
-
-
-FootprintIndex.register(PipelineResult)
-
-
-class ResultIndex(FootprintIndex):
-    """In-memory adapter presenting a ``PipelineResult`` as an index."""
-
-    def __init__(self, result: PipelineResult) -> None:
-        self._result = result
-
-    @property
-    def corpus(self) -> str:
-        """The corpus the wrapped result was computed from."""
-        return self._result.corpus
-
-    @property
-    def snapshots(self) -> tuple[Snapshot, ...]:
-        """The wrapped result's snapshot timeline, in order."""
-        return self._result.snapshots
-
-    def at(self, snapshot: Snapshot) -> FootprintSnapshot:
-        """The footprint snapshot for one date."""
-        return self._result.at(snapshot)
 
 
 class IndexView(FootprintIndex):
@@ -139,21 +99,6 @@ class IndexView(FootprintIndex):
     def at(self, snapshot: Snapshot) -> FootprintSnapshot:
         """The footprint snapshot for one date."""
         return self._by_snapshot[snapshot]
-
-
-def index_of(source: "FootprintIndex | PipelineResult") -> FootprintIndex:
-    """Coerce a batch result (or any index) to the index surface.
-
-    A convenience for call sites that accept both: ``PipelineResult`` is
-    already a virtual ``FootprintIndex``, so this is the identity — it
-    exists to make the coercion explicit and grep-able.
-    """
-    if not isinstance(source, FootprintIndex):
-        raise TypeError(
-            f"{type(source).__name__} does not provide the FootprintIndex "
-            "query surface"
-        )
-    return source
 
 
 # -- serialization ------------------------------------------------------------
@@ -250,15 +195,17 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 # -- the durable backend ------------------------------------------------------
 
 
-class DurableFootprintIndex(FootprintIndex):
-    """An on-disk footprint index updated one snapshot at a time.
+class DurableFootprintIndex:
+    """An on-disk footprint store updated one snapshot at a time.
 
     Mutation protocol: :meth:`fold` (or :meth:`remove`) any number of
     snapshots, then :meth:`commit`.  A commit recomputes the §6.2 Netflix
     restoration over the full ordered timeline, atomically rewrites the
     manifest, and publishes a fresh immutable :class:`IndexView` — the
     reference swap is the only thing concurrent readers observe, so
-    queries stay consistent (and available) throughout an ingest.
+    queries stay consistent (and available) throughout an ingest.  The
+    store answers no footprint queries itself: readers take
+    :meth:`view`.
 
     The ``token`` recorded per snapshot is a content-addressed identity
     of that snapshot's inputs (see
@@ -273,6 +220,9 @@ class DurableFootprintIndex(FootprintIndex):
         self._dir = Path(state_dir)
         self._outcomes: dict[Snapshot, SnapshotOutcome] = {}
         self._tokens: dict[Snapshot, str] = {}
+        #: Snapshots removed since the last commit, whose payloads the
+        #: next commit unlinks once its manifest no longer lists them.
+        self._removed: set[Snapshot] = set()
         manifest_path = self._dir / self.MANIFEST
         if manifest_path.exists():
             self._load(manifest_path, corpus)
@@ -285,26 +235,10 @@ class DurableFootprintIndex(FootprintIndex):
             self._corpus = corpus
         self._view = self._build_view()
 
-    # -- query surface (delegates to the committed view) --------------------------
-
     @property
     def state_dir(self) -> Path:
         """The directory the index persists itself under."""
         return self._dir
-
-    @property
-    def corpus(self) -> str:
-        """The corpus this index accumulates."""
-        return self._corpus
-
-    @property
-    def snapshots(self) -> tuple[Snapshot, ...]:
-        """The committed snapshot timeline, in order."""
-        return self._view.snapshots
-
-    def at(self, snapshot: Snapshot) -> FootprintSnapshot:
-        """The committed footprint snapshot for one date."""
-        return self._view.at(snapshot)
 
     def view(self) -> IndexView:
         """The current immutable committed view.  Server threads answer
@@ -339,21 +273,22 @@ class DurableFootprintIndex(FootprintIndex):
         # mutable state with the caller's outcome).
         self._outcomes[snapshot] = _outcome_from_payload(payload)
         self._tokens[snapshot] = token
+        self._removed.discard(snapshot)
 
     def remove(self, snapshot: Snapshot) -> bool:
         """Drop one snapshot from the index (its corpus file vanished).
-        Returns whether anything was removed."""
+        Returns whether anything was removed.  The payload stays on disk
+        until :meth:`commit` writes a manifest that no longer lists it."""
         present = snapshot in self._outcomes
         self._outcomes.pop(snapshot, None)
         self._tokens.pop(snapshot, None)
-        path = self._payload_path(snapshot)
-        if path.exists():
-            path.unlink()
+        self._removed.add(snapshot)
         return present
 
     def commit(self) -> IndexView:
-        """Recompute the cross-snapshot state, persist the manifest, and
-        publish (and return) the new immutable view."""
+        """Recompute the cross-snapshot state, persist the manifest,
+        unlink the payloads removed since the last commit, and publish
+        (and return) the new immutable view."""
         view = self._build_view()
         _atomic_write_json(
             self._dir / self.MANIFEST,
@@ -366,6 +301,9 @@ class DurableFootprintIndex(FootprintIndex):
                 },
             },
         )
+        for snapshot in self._removed:
+            self._payload_path(snapshot).unlink(missing_ok=True)
+        self._removed.clear()
         self._view = view
         return view
 
@@ -396,24 +334,20 @@ class DurableFootprintIndex(FootprintIndex):
 
     def _build_view(self) -> IndexView:
         """The §6.2 restoration fold over the ordered timeline — the same
-        reduction :meth:`~repro.core.pipeline.OffnetPipeline.merge_outcomes`
-        performs, which is what makes an incrementally-built index
-        bit-identical to a batch run regardless of arrival order."""
+        :func:`~repro.core.netflix.restore_http_only` call
+        :meth:`~repro.core.pipeline.OffnetPipeline.merge_outcomes` makes,
+        which is what makes an incrementally-built index bit-identical to
+        a batch run regardless of arrival order."""
         order = tuple(sorted(self._outcomes))
+        outcomes = [self._outcomes[snapshot] for snapshot in order]
         by_snapshot: dict[Snapshot, FootprintSnapshot] = {}
-        netflix_ever_candidates: set[int] = set()
-        for snapshot in order:
-            outcome = self._outcomes[snapshot]
+        for snapshot, outcome, restored in zip(
+            order, outcomes, restore_http_only(outcomes)
+        ):
             # Fresh copy per commit: the published views must be immutable.
             footprint = _outcome_from_payload(
                 _outcome_to_payload(outcome, self._tokens[snapshot])
             ).footprint
-            if netflix_ever_candidates:
-                restored: set[ASN] = set()
-                for ip, ases in outcome.restorable.items():
-                    if ip in netflix_ever_candidates:
-                        restored.update(ases)
-                footprint.netflix_restored_ases = frozenset(restored)
-            netflix_ever_candidates.update(outcome.netflix_seen)
+            footprint.netflix_restored_ases = restored
             by_snapshot[snapshot] = footprint
         return IndexView(self._corpus, order, by_snapshot)

@@ -45,6 +45,7 @@ from repro.core.confirm import confirm_candidates
 from repro.core.executor import SnapshotExecutor, make_executor
 from repro.core.footprint import FootprintSnapshot, PipelineResult, SnapshotOutcome
 from repro.core.header_fingerprint import learn_header_fingerprints
+from repro.core.netflix import restore_http_only
 from repro.core.signals import parse_policy, signal_names
 from repro.core.stages import (
     RULE_STAGES,
@@ -646,9 +647,10 @@ class OffnetPipeline:
     ) -> PipelineResult:
         """Reduce per-snapshot outcomes, in snapshot order, into the
         longitudinal result.  The only cross-snapshot state is the §6.2
-        Netflix "ever a candidate" accumulator; folding it here (rather
-        than inside the per-snapshot phase) is what makes the phase pure
-        and the parallel run bit-identical to the serial one.
+        Netflix "ever a candidate" fold
+        (:func:`~repro.core.netflix.restore_http_only`); folding it here
+        (rather than inside the per-snapshot phase) is what makes the
+        phase pure and the parallel run bit-identical to the serial one.
 
         The same barrier folds the per-snapshot metrics registries:
         counters and histograms merge commutatively, and the snapshot
@@ -658,18 +660,11 @@ class OffnetPipeline:
         """
         by_snapshot: dict[Snapshot, FootprintSnapshot] = {}
         metrics = MetricsRegistry()
-        netflix_ever_candidates: set[int] = set()
         watch = Stopwatch(metrics)
-        for snapshot, outcome in zip(snapshots, outcomes, strict=True):
-            footprint = outcome.footprint
-            if netflix_ever_candidates:
-                restored: set[ASN] = set()
-                for ip, ases in outcome.restorable.items():
-                    if ip in netflix_ever_candidates:
-                        restored.update(ases)
-                footprint.netflix_restored_ases = frozenset(restored)
-            netflix_ever_candidates.update(outcome.netflix_seen)
-            by_snapshot[snapshot] = footprint
+        restored = restore_http_only(outcomes)
+        for snapshot, outcome, ases in zip(snapshots, outcomes, restored, strict=True):
+            outcome.footprint.netflix_restored_ases = ases
+            by_snapshot[snapshot] = outcome.footprint
             metrics.merge(outcome.metrics)
         watch.lap("merge")
         scenario = self._scenario_meta()
@@ -739,7 +734,6 @@ class OffnetPipeline:
             return _ases_of(merged)
         confirmed = confirm_candidates(
             "netflix", merged, scan, rules,
-            mode="or",
             netflix_nginx_rule=self.options.netflix_nginx_rule,
             edge_priority=self.options.edge_priority,
         )

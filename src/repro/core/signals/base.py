@@ -74,9 +74,9 @@ class SignalContext:
     """Everything signals may read while judging one hypergiant's
     candidates against one snapshot.
 
-    One context is built per (hypergiant, snapshot, mode) evaluation;
-    signals must treat it as read-only shared state, apart from their
-    own entry in :attr:`memo`.
+    One context is built per (hypergiant, snapshot) evaluation; signals
+    must treat it as read-only shared state, apart from their own entry
+    in :attr:`memo`.
     """
 
     #: The candidate hypergiant's keyword (e.g. ``"google"``).
@@ -85,8 +85,6 @@ class SignalContext:
     scan: ScanSnapshot
     #: The §4.4 header fingerprints in force, for every hypergiant.
     rules: dict[str, tuple[HeaderRule, ...]] = field(default_factory=dict)
-    #: Figure 4's header-corpus agreement variant: ``"or"`` or ``"and"``.
-    mode: str = "or"
     #: The Netflix default-nginx acceptance (§4.4).
     netflix_nginx_rule: bool = True
     #: The §7 edge-CDN conflict priority.

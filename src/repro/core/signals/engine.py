@@ -1,29 +1,28 @@
 """The confirm-stage engine: evaluate signals, fold verdicts, book counters.
 
 One :func:`evaluate_candidates` call judges every candidate of one
-(hypergiant, snapshot, mode) cell: each configured signal produces a
-:class:`~repro.core.signals.base.SignalVerdict`, the combine policy
-folds them, and the historical funnel counters
-(``confirm_checked_total``, ``confirm_passed_total``) are booked with
-the same names, labels and values the pre-framework implementation
-booked — that is what keeps the default configuration's reports
-bit-identical.
+(hypergiant, snapshot) cell: each configured signal produces a
+:class:`~repro.core.signals.base.SignalVerdict` once, and the combine
+policy folds them twice — as given, for Figure 4's "http or https"
+variant, and through :func:`~repro.core.signals.header.and_reading`,
+for its "http and https" variant.  The historical funnel counters
+(``confirm_checked_total``, ``confirm_passed_total``) are booked for
+both modes with the same names, labels and values the pre-framework
+implementation booked — that is what keeps the default configuration's
+reports bit-identical.
 
 On top of those, the engine books the signal-level observability
 counters the run report's ``signals`` section folds at the merge
 barrier:
 
 * ``signal_verdicts_total{signal, verdict, hg}`` — one per signal per
-  candidate;
+  candidate (the "or" verdicts the signals returned);
 * ``signal_disagreements_total{hg}`` — candidates where at least one
   signal confirmed while another rejected (the interesting rows: either
   an evasion caught by a second channel, or a signal misfiring).
 
-Both are booked only when ``book_signals`` is set: the confirm stage
-runs the engine twice (Figure 4's ``or`` and ``and`` variants) and only
-the primary ``or`` pass books signal counters, so each candidate is
-counted once.  Every counter is summed over the call and booked once
-per label set, not once per candidate.
+Every counter is summed over the call and booked once per label set,
+not once per candidate.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from repro.core.signals.base import (
     SignalContext,
     SignalVerdict,
 )
+from repro.core.signals.header import and_reading
 from repro.core.signals.policy import CombinePolicy
 from repro.hypergiants.profiles import HeaderRule
 from repro.obs.metrics import MetricsRegistry
@@ -51,6 +51,7 @@ class SignalDecision:
     """One candidate's combined confirmation outcome."""
 
     candidate: Candidate
+    #: Confirmed under Figure 4's "http or https" variant (the default).
     confirmed: bool
     #: Which channel produced the confirmation: the header signal's
     #: port label (``both``/``https``/``http``) when it confirmed, else
@@ -58,6 +59,8 @@ class SignalDecision:
     matched_on: str
     #: Every signal's verdict, in configured order, with evidence.
     verdicts: tuple[SignalVerdict, ...]
+    #: Confirmed under Figure 4's stricter "http and https" variant.
+    confirmed_and: bool
 
 
 def evaluate_candidates(
@@ -67,60 +70,64 @@ def evaluate_candidates(
     rules: dict[str, tuple[HeaderRule, ...]],
     signals: tuple[ConfirmationSignal, ...],
     policy: CombinePolicy,
-    mode: str = "or",
     netflix_nginx_rule: bool = True,
     edge_priority: bool = True,
     registry: MetricsRegistry | None = None,
-    book_signals: bool = True,
 ) -> list[SignalDecision]:
     """Judge ``candidates`` with every signal and fold under ``policy``.
 
     Returns one :class:`SignalDecision` per candidate (confirmed or
-    not), so callers can audit rejections; the classic confirmed-only
-    view is ``[d for d in decisions if d.confirmed]``.
+    not, under either variant), so callers can audit rejections; the
+    classic confirmed-only view is ``[d for d in decisions if d.confirmed]``.
     """
-    if mode not in ("or", "and"):
-        raise ValueError(f"mode must be 'or' or 'and', not {mode!r}")
     context = SignalContext(
         hypergiant=hypergiant,
         scan=scan,
         rules=rules,
-        mode=mode,
         netflix_nginx_rule=netflix_nginx_rule,
         edge_priority=edge_priority,
     )
-    if registry is not None:
-        registry.counter("confirm_checked_total", hg=hypergiant, mode=mode).inc(
-            len(candidates)
-        )
     # Counts per label set, booked once after the loop.
-    book_signals = book_signals and registry is not None
     verdict_counts: dict[tuple[str, str], int] = {}
+    passed: dict[tuple[str, str], int] = {}  # keyed (mode, matched_on)
     disagreements = 0
-    passed: dict[str, int] = {}
     decisions: list[SignalDecision] = []
     for candidate in candidates:
         verdicts = tuple(signal.evaluate(candidate, context) for signal in signals)
+        verdicts_and = tuple(map(and_reading, verdicts))
         confirmed = policy.decide(verdicts)
+        confirmed_and = policy.decide(verdicts_and)
         matched_on = _matched_on(verdicts) if confirmed else ""
-        if book_signals:
-            for verdict in verdicts:
-                key = (verdict.signal, verdict.verdict)
-                verdict_counts[key] = verdict_counts.get(key, 0) + 1
-            outcomes = {v.verdict for v in verdicts}
-            if CONFIRM in outcomes and REJECT in outcomes:
-                disagreements += 1
+        for verdict in verdicts:
+            key = (verdict.signal, verdict.verdict)
+            verdict_counts[key] = verdict_counts.get(key, 0) + 1
+        outcomes = {v.verdict for v in verdicts}
+        if CONFIRM in outcomes and REJECT in outcomes:
+            disagreements += 1
         if confirmed:
-            passed[matched_on] = passed.get(matched_on, 0) + 1
+            key = ("or", matched_on)
+            passed[key] = passed.get(key, 0) + 1
+        if confirmed_and:
+            key = ("and", _matched_on(verdicts_and))
+            passed[key] = passed.get(key, 0) + 1
         decisions.append(
             SignalDecision(
                 candidate=candidate,
                 confirmed=confirmed,
                 matched_on=matched_on,
                 verdicts=verdicts,
+                confirmed_and=confirmed_and,
             )
         )
     if registry is not None:
+        for mode in ("or", "and"):
+            registry.counter("confirm_checked_total", hg=hypergiant, mode=mode).inc(
+                len(candidates)
+            )
+        for (mode, matched_on), count in passed.items():
+            registry.counter(
+                "confirm_passed_total", hg=hypergiant, mode=mode, matched_on=matched_on
+            ).inc(count)
         for (signal, verdict), count in verdict_counts.items():
             registry.counter(
                 "signal_verdicts_total", signal=signal, verdict=verdict, hg=hypergiant
@@ -129,10 +136,6 @@ def evaluate_candidates(
             registry.counter("signal_disagreements_total", hg=hypergiant).inc(
                 disagreements
             )
-        for matched_on, count in passed.items():
-            registry.counter(
-                "confirm_passed_total", hg=hypergiant, mode=mode, matched_on=matched_on
-            ).inc(count)
     return decisions
 
 

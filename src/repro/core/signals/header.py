@@ -10,7 +10,10 @@ What the port *adds* is per-port evidence: the verdict names which rule
 matched on each of HTTPS (443) and HTTP (80) separately
 (``https_rule`` / ``http_rule``), so a ``both`` match that used
 different rules on the two ports keeps both identities instead of
-collapsing them into one ``matched_on`` label.
+collapsing them into one ``matched_on`` label.  That label is also
+all Figure 4's stricter "http and https" variant needs: the signal
+judges with "or" folding, and :func:`and_reading` re-reads a one-port
+confirmation as a rejection, so one judging pass serves both variants.
 
 Matching is compiled: :func:`compile_rules` lower-cases each rule
 pattern once, :func:`lowered_headers` each response's names once, and
@@ -36,6 +39,7 @@ from repro.hypergiants.profiles import STANDARD_HEADERS, HeaderRule
 __all__ = [
     "EDGE_CDNS",
     "HeaderSignal",
+    "and_reading",
     "compile_rules",
     "first_match",
     "is_default_nginx",
@@ -133,10 +137,11 @@ class HeaderSignal:
     ) -> SignalVerdict:
         """Judge the candidate's port-443 and port-80 header responses.
 
-        Confirms under the context's ``mode`` (``or``/``and``, Figure
-        4's variants); rejects when headers were captured but did not
-        match; abstains only when *neither* port produced headers at all
-        (a certificate-only corpus has no header channel to judge by).
+        Confirms when either port's headers match (Figure 4's "http or
+        https"; :func:`and_reading` gives the "and" variant); rejects
+        when headers were captured but did not match; abstains only
+        when *neither* port produced headers at all (a certificate-only
+        corpus has no header channel to judge by).
 
         A verdict depends on the candidate only through the interned
         header tuples its two ports answered with, so the context's
@@ -158,13 +163,12 @@ class _HeaderJudge:
     lives in the context's memo, so nothing outlives the engine call.
     """
 
-    __slots__ = ("name", "store", "mode", "rules", "nginx", "edges", "ports", "verdicts")
+    __slots__ = ("name", "store", "rules", "nginx", "edges", "ports", "verdicts")
 
     def __init__(self, name: str, context: SignalContext) -> None:
         hypergiant = context.hypergiant
         self.name = name
         self.store = context.scan.store
-        self.mode = context.mode
         self.rules = compile_rules(context.rules.get(hypergiant, ()))
         self.nginx = context.netflix_nginx_rule and hypergiant == "netflix"
         edges = []
@@ -193,12 +197,8 @@ class _HeaderJudge:
         (https_match, https_label), (http_match, http_label) = https, http
         https_ok = bool(https_match)
         http_ok = bool(http_match)
-        if self.mode == "and":
-            ok = https_ok and http_ok
-        else:
-            ok = https_ok or http_ok
         evidence = (("https_rule", https_label), ("http_rule", http_label))
-        if ok:
+        if https_ok or http_ok:
             matched_on = (
                 "both" if (https_ok and http_ok) else ("https" if https_ok else "http")
             )
@@ -239,3 +239,25 @@ class _HeaderJudge:
                 # The edge CDN operates this box, not the HG.
                 return False, f"edge-conflict:{edge}"
         return True, matched_rule
+
+
+def and_reading(verdict: SignalVerdict) -> SignalVerdict:
+    """Figure 4's "http and https" reading of one signal verdict.
+
+    A header confirmation whose ``matched_on`` is not ``both`` reads as
+    a rejection carrying the same ``https_rule``/``http_rule``
+    evidence; every other verdict reads unchanged.  This is exactly the
+    verdict the header signal would give if it folded the two ports
+    with "and" instead of "or".
+    """
+    if (
+        verdict.signal != HeaderSignal.name
+        or verdict.verdict != CONFIRM
+        or verdict.evidence_dict()["matched_on"] == "both"
+    ):
+        return verdict
+    return SignalVerdict(
+        verdict.signal,
+        REJECT,
+        tuple(pair for pair in verdict.evidence if pair[0] != "matched_on"),
+    )

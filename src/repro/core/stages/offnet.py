@@ -394,41 +394,19 @@ def _run_confirm(
         result.candidate_ips[keyword] = frozenset(c.ip for c in found)
         result.candidate_ases[keyword] = _ases_of(found)
         if options.header_confirmation:
-            confirmed = [
-                d
-                for d in evaluate_candidates(
-                    keyword, found, scan, rules,
-                    signals=signals,
-                    policy=policy,
-                    mode="or",
-                    netflix_nginx_rule=options.netflix_nginx_rule,
-                    edge_priority=options.edge_priority,
-                    registry=counters,
-                )
-                if d.confirmed
-            ]
-            confirmed_and = [
-                d
-                for d in evaluate_candidates(
-                    keyword, found, scan, rules,
-                    signals=signals,
-                    policy=policy,
-                    mode="and",
-                    netflix_nginx_rule=options.netflix_nginx_rule,
-                    edge_priority=options.edge_priority,
-                    registry=counters,
-                    book_signals=False,
-                )
-                if d.confirmed
-            ]
-            result.confirmed_ips[keyword] = frozenset(
-                c.candidate.ip for c in confirmed
+            decisions = evaluate_candidates(
+                keyword, found, scan, rules,
+                signals=signals,
+                policy=policy,
+                netflix_nginx_rule=options.netflix_nginx_rule,
+                edge_priority=options.edge_priority,
+                registry=counters,
             )
-            result.confirmed_ases[keyword] = _ases_of(
-                [c.candidate for c in confirmed]
-            )
+            confirmed = [d.candidate for d in decisions if d.confirmed]
+            result.confirmed_ips[keyword] = frozenset(c.ip for c in confirmed)
+            result.confirmed_ases[keyword] = _ases_of(confirmed)
             result.confirmed_and_ases[keyword] = _ases_of(
-                [c.candidate for c in confirmed_and]
+                [d.candidate for d in decisions if d.confirmed_and]
             )
         else:
             result.confirmed_ips[keyword] = result.candidate_ips[keyword]

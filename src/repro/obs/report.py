@@ -175,13 +175,13 @@ def _signals_section(registry: MetricsRegistry, options: dict) -> dict:
     """§4.5 multi-signal confirmation accounting, summed across snapshots.
 
     The counters are booked by the confirm stage's signal engine
-    (:func:`repro.core.signals.evaluate_candidates`) on its primary
-    ``or`` pass only, so each candidate counts once per signal.  Like
-    ``store``/``ingest``, the section is deterministic (fragments replay
-    on cache hits and fold at the merge barrier) but not in
-    ``_REQUIRED_KEYS`` or the deterministic view, keeping pre-framework
-    baselines comparable — ``tools/check_report.py --expect-signals``
-    gates on it directly instead.
+    (:func:`repro.core.signals.evaluate_candidates`), which runs each
+    signal once per candidate, so each candidate counts once per
+    signal.  Like ``store``/``ingest``, the section is deterministic
+    (fragments replay on cache hits and fold at the merge barrier) but
+    not in ``_REQUIRED_KEYS`` or the deterministic view, keeping
+    pre-framework baselines comparable — ``tools/check_report.py
+    --expect-signals`` gates on it directly instead.
     """
     per_signal: dict[str, dict[str, int]] = {}
     for labels, value in registry.counter_items("signal_verdicts_total"):

@@ -7,8 +7,8 @@ folds **only new or changed snapshots** into a durable
 :class:`~repro.core.footprint_index.DurableFootprintIndex` (delta
 detection via per-snapshot content fingerprints — see
 :meth:`~repro.datasets.FileDataset.snapshot_fingerprint`), and serves
-the full :class:`~repro.core.footprint.FootprintQueries` surface over
-HTTP to any number of concurrent clients.
+the full :class:`~repro.core.footprint.FootprintIndex` query surface
+over HTTP to any number of concurrent clients.
 
 * :mod:`repro.serve.ingest` — :class:`DeltaIngestor`, the one-shot
   "reconcile the index with the directory" pass the daemon loops on.

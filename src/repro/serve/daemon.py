@@ -351,6 +351,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     #: Injected by :meth:`ServeDaemon.start` via a subclass attribute.
     daemon_ref: ServeDaemon
+    #: Headers and body go out as separate writes; with Nagle's algorithm
+    #: on, a kept-alive connection holds the body back until the
+    #: client's delayed ACK, about 40 ms per answer.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler's casing
         """Answer one GET request."""

@@ -196,7 +196,7 @@ class DeltaIngestor:
             self.registry.merge(pass_metrics)
             if committed:
                 self.registry.gauge(INGEST_LAG).set(duration)
-            self.registry.gauge(INDEXED_SNAPSHOTS).set(len(self.index.snapshots))
+            self.registry.gauge(INDEXED_SNAPSHOTS).set(len(self.view().snapshots))
 
         return IngestReport(
             ingested=tuple(ingested),

@@ -1,13 +1,14 @@
-"""The persistent footprint index: adapter, durable store, and parity.
+"""The persistent footprint index: one query surface, the durable store,
+and parity.
 
 The tentpole property: every analysis answer is **bit-identical** no
 matter which backend produced it —
 
 (a) the in-memory ``PipelineResult`` (the batch path, unchanged),
-(b) a ``DurableFootprintIndex`` built cold from the same outcomes in
-    snapshot order, and
-(c) a ``DurableFootprintIndex`` built *incrementally* with the outcomes
-    arriving in shuffled order, committing after every fold.
+(b) the view of a ``DurableFootprintIndex`` built cold from the same
+    outcomes in snapshot order, and
+(c) the view of a ``DurableFootprintIndex`` built *incrementally* with
+    the outcomes arriving in shuffled order, committing after every fold.
 
 Case (c) is the serve daemon's life: snapshots land whenever corpora are
 published, yet the §6.2 Netflix restoration is an ordered fold, so the
@@ -15,6 +16,7 @@ index must recompute it over the whole timeline at commit rather than
 accumulate it in arrival order.
 """
 
+import json
 import random
 
 import pytest
@@ -41,8 +43,6 @@ from repro.core.footprint_index import (
     DurableFootprintIndex,
     FootprintIndex,
     IndexView,
-    ResultIndex,
-    index_of,
 )
 
 
@@ -80,13 +80,13 @@ def shuffled_index(tmp_path_factory, pipeline_result, outcomes):
 
 
 @pytest.fixture(scope="module")
-def backends(pipeline_result, cold_index, shuffled_index):
-    """The three query backends plus a cold *reload* of the durable one."""
+def backends(cold_index, shuffled_index):
+    """The durable backends' committed views, plus the view of a cold
+    *reload* — each is compared against the batch result."""
     return {
-        "adapter": ResultIndex(pipeline_result),
-        "cold": cold_index,
-        "shuffled-incremental": shuffled_index,
-        "reloaded": DurableFootprintIndex(shuffled_index.state_dir),
+        "cold": cold_index.view(),
+        "shuffled-incremental": shuffled_index.view(),
+        "reloaded": DurableFootprintIndex(shuffled_index.state_dir).view(),
     }
 
 
@@ -152,21 +152,12 @@ class TestThreeWayParity:
 
 
 class TestAdapterAndCoercion:
-    def test_result_is_a_virtual_index(self, pipeline_result):
+    def test_result_is_a_virtual_index(self, pipeline_result, cold_index):
+        """Two classes answer queries — the batch result and a committed
+        view; the durable store itself only stores."""
         assert isinstance(pipeline_result, FootprintIndex)
-        assert index_of(pipeline_result) is pipeline_result
-
-    def test_adapter_delegates(self, pipeline_result):
-        adapter = ResultIndex(pipeline_result)
-        assert isinstance(adapter, FootprintIndex)
-        assert adapter.corpus == pipeline_result.corpus
-        assert adapter.at(pipeline_result.snapshots[0]) == pipeline_result.at(
-            pipeline_result.snapshots[0]
-        )
-
-    def test_index_of_rejects_non_indexes(self):
-        with pytest.raises(TypeError, match="FootprintIndex"):
-            index_of({"not": "an index"})
+        assert isinstance(cold_index.view(), FootprintIndex)
+        assert not isinstance(cold_index, FootprintIndex)
 
 
 class TestDurableMechanics:
@@ -193,48 +184,43 @@ class TestDurableMechanics:
         index.commit()
         before = index.view()
         assert isinstance(before, IndexView)
-        timeline_before = before.snapshots
         index.fold(outcomes[1], "t1")
         index.commit()
-        assert before.snapshots == timeline_before
+        assert before.snapshots == (outcomes[0].footprint.snapshot,)
         assert len(index.view().snapshots) == 2
 
     def test_remove_drops_snapshot_and_payload(
         self, tmp_path, pipeline_result, outcomes
     ):
+        """A removal reaches disk at ``commit()``: a kill in between (the
+        delta ingestor removes a snapshot that stopped parsing, then runs
+        the rest of its pass) leaves a state dir that reopens at the last
+        committed view."""
         index = DurableFootprintIndex(tmp_path / "idx", corpus=pipeline_result.corpus)
         index.fold(outcomes[0], "t0")
         index.fold(outcomes[1], "t1")
-        index.commit()
+        committed = index.commit()
         victim = outcomes[0].footprint.snapshot
         assert index.remove(victim) is True
         assert index.remove(victim) is False
+        assert_footprints_identical(committed, DurableFootprintIndex(index.state_dir).view())
         index.commit()
-        assert victim not in index.snapshots
+        assert victim not in index.view().snapshots
         reloaded = DurableFootprintIndex(index.state_dir)
-        assert victim not in reloaded.snapshots
+        assert victim not in reloaded.view().snapshots
+        assert not (index.state_dir / "snapshots" / f"{victim.label}.json").exists()
 
     def test_manifest_records_the_format_version(self, cold_index):
-        import json
-
         manifest = json.loads(
             (cold_index.state_dir / DurableFootprintIndex.MANIFEST).read_text()
         )
         assert manifest["format"] == INDEX_FORMAT
 
-    def test_restoration_is_recomputed_not_persisted(
-        self, tmp_path, pipeline_result, outcomes
-    ):
+    def test_restoration_is_recomputed_not_persisted(self, cold_index):
         """``netflix_restored_ases`` never hits disk — it is an ordered
         cross-snapshot fold, so a partially-grown index must recompute it
         from scratch at every commit to stay order-independent."""
-        import json
-
-        index = DurableFootprintIndex(tmp_path / "idx", corpus=pipeline_result.corpus)
-        for number, outcome in enumerate(outcomes):
-            index.fold(outcome, f"t{number}")
-        index.commit()
-        for path in (index.state_dir / DurableFootprintIndex.SNAPSHOT_DIR).iterdir():
+        for path in (cold_index.state_dir / DurableFootprintIndex.SNAPSHOT_DIR).iterdir():
             payload = json.loads(path.read_text())
             assert "netflix_restored_ases" not in payload["footprint"]
 

@@ -1,6 +1,7 @@
 """Integration tests for the longitudinal pipeline."""
 
-from repro.core import OffnetPipeline, PipelineOptions, restore_netflix
+from repro.core import OffnetPipeline, PipelineOptions, SnapshotOutcome, restore_netflix
+from repro.core.netflix import restore_http_only
 from repro.hypergiants.profiles import TOP4
 from repro.timeline import NETFLIX_EXPIRED_ERA, STUDY_SNAPSHOTS, Snapshot
 
@@ -103,6 +104,18 @@ class TestNetflixEnvelope:
 
     def test_dip_depth_positive(self, pipeline_result):
         assert restore_netflix(pipeline_result).dip_depth() > 0.1
+
+    def test_http_only_restoration_needs_an_earlier_sighting(self):
+        """The one cross-snapshot fold: a port-80-only IP's ASes are
+        restored in every snapshot after the IP presented a Netflix
+        certificate, never in that snapshot or before it."""
+        ports = {1: frozenset({10}), 2: frozenset({20})}
+        outcomes = [
+            SnapshotOutcome(None, netflix_seen=frozenset({1}), restorable=ports),
+            SnapshotOutcome(None),
+            SnapshotOutcome(None, restorable=ports),
+        ]
+        assert restore_http_only(outcomes) == [frozenset(), frozenset(), frozenset({10})]
 
 
 class TestPipelineOptions:

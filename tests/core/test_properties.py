@@ -11,6 +11,7 @@ from repro.core.signals.base import ABSTAIN, CONFIRM, REJECT, SignalContext, Sig
 from repro.core.signals.header import (
     EDGE_CDNS,
     HeaderSignal,
+    and_reading,
     compile_rules,
     first_match,
     lowered_headers,
@@ -205,14 +206,13 @@ class TestCompiledHeaderMatcher:
             st.sampled_from(("netflix", "google", "facebook") + EDGE_CDNS), rule_sets
         ),
         st.lists(port_answers, min_size=4, max_size=4),
-        st.sampled_from(("or", "and")),
         st.booleans(),
         st.booleans(),
     )
     def test_judge_matches_per_call_reference(
-        self, hypergiant, rules, ports, mode, nginx_rule, edge_priority
+        self, hypergiant, rules, ports, nginx_rule, edge_priority
     ):
-        self._check_judge(hypergiant, rules, ports, mode, nginx_rule, edge_priority)
+        self._check_judge(hypergiant, rules, ports, nginx_rule, edge_priority)
 
     @given(
         rule_sets,
@@ -224,13 +224,13 @@ class TestCompiledHeaderMatcher:
         rule, and the first conflicting CDN in ``EDGE_CDNS`` order is the
         one named."""
         rules = {"netflix": netflix_rules, **dict(zip(EDGE_CDNS, edge_rules))}
-        self._check_judge("netflix", rules, ports, "or", True, True)
+        self._check_judge("netflix", rules, ports, True, True)
 
-    def _check_judge(self, hypergiant, rules, ports, mode, nginx_rule, edge_priority):
+    def _check_judge(self, hypergiant, rules, ports, nginx_rule, edge_priority):
         """Three candidates per context (the third answers like the
         first, so it reuses the memoised verdict), with first-rule-wins,
-        default nginx and edge-conflict order, judged as the per-call
-        matcher judged them."""
+        default nginx and edge-conflict order, judged (and read "and")
+        as the per-call matcher judged them in either mode."""
         answers = (ports[:2], ports[2:], ports[:2])
         scan = ScanSnapshot(scanner="test", snapshot=Snapshot(2020, 10))
         for ip, (https, http) in enumerate(answers, start=1):
@@ -242,22 +242,23 @@ class TestCompiledHeaderMatcher:
             hypergiant=hypergiant,
             scan=scan,
             rules=rules,
-            mode=mode,
             netflix_nginx_rule=nginx_rule,
             edge_priority=edge_priority,
         )
         signal = HeaderSignal()
         for ip, (https, http) in enumerate(answers, start=1):
             candidate = Candidate(ip=ip, certificate=None, ases=frozenset())
-            assert signal.evaluate(candidate, context) == _reference_verdict(
-                hypergiant,
-                rules,
-                None if https is None else dict(https),
-                None if http is None else dict(http),
-                mode,
-                nginx_rule,
-                edge_priority,
-            )
+            verdict = signal.evaluate(candidate, context)
+            for reading, mode in ((verdict, "or"), (and_reading(verdict), "and")):
+                assert reading == _reference_verdict(
+                    hypergiant,
+                    rules,
+                    None if https is None else dict(https),
+                    None if http is None else dict(http),
+                    mode,
+                    nginx_rule,
+                    edge_priority,
+                )
 
     @given(
         st.sampled_from(sorted(HEADER_RULES)),

@@ -95,12 +95,24 @@ FB_RULES = {
 }
 
 
-def _context(hypergiant="facebook", scan=None, rules=FB_RULES, **kwargs):
+def _evaluate(scan, signals=("header",), policy="paper-default", registry=None):
+    """The engine's decisions for one Facebook candidate."""
+    return evaluate_candidates(
+        "facebook",
+        [_candidate()],
+        scan,
+        FB_RULES,
+        signals=build_signals(signals),
+        policy=parse_policy(policy),
+        registry=registry,
+    )
+
+
+def _context(hypergiant="facebook", scan=None, rules=FB_RULES):
     return SignalContext(
         hypergiant=hypergiant,
         scan=scan if scan is not None else _scan(),
         rules=rules,
-        **kwargs,
     )
 
 
@@ -276,11 +288,20 @@ class TestHeaderSignal:
         }
 
     def test_and_mode_requires_both_ports(self):
-        scan = _scan(https={"X-FB-Debug": "abc"})
-        verdict = HeaderSignal().evaluate(
-            _candidate(), _context(scan=scan, mode="and")
+        """Figure 4's "and" variant comes out of the same engine pass: a
+        one-port header match confirms only under "or", unless two other
+        signals carry it under ``require-2``."""
+        scan = _scan(https={"X-FB-Debug": "abc"}, stack=STACK_PROFILES["facebook"])
+        (header_only,) = _evaluate(scan)
+        assert header_only.confirmed and not header_only.confirmed_and
+        registry = MetricsRegistry()
+        (rescued,) = _evaluate(
+            scan, ("header", "tls-stack", "cert-names"), "require-2", registry
         )
-        assert verdict.verdict == REJECT
+        assert rescued.confirmed and rescued.confirmed_and
+        assert registry.counter_value(
+            "confirm_passed_total", hg="facebook", mode="and", matched_on="tls-stack"
+        ) == 1
 
     def test_edge_conflict_names_the_edge(self):
         rules = dict(FB_RULES)
@@ -425,68 +446,51 @@ class TestCertNamesSignal:
 
 
 class TestEngine:
-    def _run(self, scan, signals=("header",), policy="paper-default",
-             registry=None, book_signals=True, mode="or"):
-        return evaluate_candidates(
-            "facebook",
-            [_candidate()],
-            scan,
-            FB_RULES,
-            signals=build_signals(signals),
-            policy=parse_policy(policy),
-            mode=mode,
-            registry=registry,
-            book_signals=book_signals,
-        )
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self._run(_scan(), mode="either")
-
     def test_decisions_cover_rejections_too(self):
-        decisions = self._run(_scan(https={"Server": "nginx"}))
-        assert len(decisions) == 1
-        decision = decisions[0]
+        (decision,) = _evaluate(_scan(https={"Server": "nginx"}))
         assert isinstance(decision, SignalDecision)
         assert not decision.confirmed
         assert decision.matched_on == ""
         assert decision.verdicts[0].verdict == REJECT
 
     def test_funnel_counters_match_legacy_names(self):
+        """One call books both modes' funnel counters under their
+        pre-framework names."""
         registry = MetricsRegistry()
-        self._run(_scan(https={"X-FB-Debug": "x"}), registry=registry)
-        assert registry.counter_value(
-            "confirm_checked_total", hg="facebook", mode="or"
-        ) == 1
-        assert registry.counter_value(
-            "confirm_passed_total", hg="facebook", mode="or", matched_on="https"
-        ) == 1
+        _evaluate(_scan(https={"X-FB-Debug": "x"}), registry=registry)
+        for mode in ("or", "and"):
+            assert registry.counter_value(
+                "confirm_checked_total", hg="facebook", mode=mode
+            ) == 1
+        assert [
+            (labels["mode"], labels["matched_on"], value)
+            for labels, value in registry.counter_items("confirm_passed_total")
+        ] == [("or", "https", 1)]
 
     def test_signal_counters_booked_only_when_asked(self):
+        """Each signal verdict is booked once per candidate into the
+        registry a call is given, not once per Figure 4 variant; a call
+        without a registry books nothing."""
         scan = _scan(https={"X-FB-Debug": "x"}, stack=STACK_PROFILES["facebook"])
-        booked, silent = MetricsRegistry(), MetricsRegistry()
-        self._run(scan, signals=("header", "tls-stack"), registry=booked)
-        self._run(
-            scan, signals=("header", "tls-stack"), registry=silent,
-            book_signals=False,
-        )
+        booked = MetricsRegistry()
+        _evaluate(scan, signals=("header", "tls-stack"), registry=booked)
+        _evaluate(scan, signals=("header", "tls-stack"))
+        assert sorted(
+            (labels["signal"], labels["verdict"], labels["hg"], value)
+            for labels, value in booked.counter_items("signal_verdicts_total")
+        ) == [
+            ("header", CONFIRM, "facebook", 1),
+            ("tls-stack", CONFIRM, "facebook", 1),
+        ]
+        # The funnel counters are booked alongside.
         assert booked.counter_value(
-            "signal_verdicts_total", signal="header", verdict=CONFIRM, hg="facebook"
-        ) == 1
-        assert booked.counter_value(
-            "signal_verdicts_total", signal="tls-stack", verdict=CONFIRM,
-            hg="facebook",
-        ) == 1
-        assert not silent.counter_items("signal_verdicts_total")
-        # The funnel counters are booked either way.
-        assert silent.counter_value(
             "confirm_checked_total", hg="facebook", mode="or"
         ) == 1
 
     def test_disagreement_counted_when_confirm_meets_reject(self):
         registry = MetricsRegistry()
         scan = _scan(https={"Server": "nginx"}, stack=STACK_PROFILES["facebook"])
-        decisions = self._run(
+        decisions = _evaluate(
             scan, signals=("header", "tls-stack", "cert-names"),
             policy="require-2", registry=registry,
         )
@@ -497,14 +501,14 @@ class TestEngine:
 
     def test_matched_on_prefers_header_port_label(self):
         scan = _scan(https={"X-FB-Debug": "x"}, stack=STACK_PROFILES["facebook"])
-        decisions = self._run(
+        decisions = _evaluate(
             scan, signals=("tls-stack", "header"), policy="require-1"
         )
         assert decisions[0].matched_on == "https"
 
     def test_matched_on_names_the_rescuing_signal(self):
         scan = _scan(stack=STACK_PROFILES["facebook"])
-        decisions = self._run(
+        decisions = _evaluate(
             scan, signals=("header", "tls-stack"), policy="require-1"
         )
         assert decisions[0].matched_on == "tls-stack"

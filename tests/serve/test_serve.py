@@ -11,9 +11,12 @@ PR-5 lenient policy) — and assert that
 * the post-ingest answers equal a fresh batch run over the same files.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -162,6 +165,22 @@ class TestBaseline:
             url, "series", {"hg": "google", "metric": "bogus"}
         )["error"]
 
+    def test_answers_on_one_connection_do_not_stall(self, daemon):
+        """The handler writes headers and body separately; with Nagle's
+        algorithm on, every answer on a kept-alive connection waited for
+        the client's delayed ACK (about 40 ms).  The ``/metrics`` answer
+        is larger than one 8 KB write buffer."""
+        with closing(http.client.HTTPConnection(*daemon.address(), timeout=10)) as connection:
+            for path in ("/status", "/metrics"):
+                seconds = []
+                for _ in range(20):
+                    started = time.perf_counter()
+                    connection.request("GET", path)
+                    body = connection.getresponse().read()
+                    seconds.append(time.perf_counter() - started)
+                assert statistics.median(seconds) < 0.020, (path, seconds)
+        assert len(body) > 8192
+
 
 class TestDrill:
     """The serve-gate drill proper.  Ordered within the class: the drop
@@ -253,33 +272,23 @@ class TestDrill:
 
 
 class TestStrictFailureIsolation:
-    def test_a_snapshot_that_refuses_to_parse_is_left_out(
-        self, dataset, tmp_path
-    ):
+    @pytest.fixture
+    def ingestor(self, dataset, tmp_path):
+        """A strict-policy ingestor over the dataset, faulty snapshot included."""
+        options = PipelineOptions(header_learning_snapshot=dataset["baseline"][-1])
+        return DeltaIngestor(dataset["dir"], tmp_path / "strict-state", options=options)
+
+    def test_a_snapshot_that_refuses_to_parse_is_left_out(self, dataset, ingestor):
         """Under strict policy a faulty snapshot is reported as failed and
         excluded while the healthy timeline keeps serving."""
-        ingestor = DeltaIngestor(
-            dataset["dir"],
-            tmp_path / "strict-state",
-            options=PipelineOptions(
-                header_learning_snapshot=dataset["baseline"][-1]
-            ),
-        )
         report = ingestor.ingest_once()
         assert [s.label for s in report.failed] == [dataset["faulty"].label]
-        assert dataset["faulty"] not in ingestor.index.snapshots
-        assert dataset["clean"] in ingestor.index.snapshots
+        assert dataset["faulty"] not in ingestor.view().snapshots
+        assert dataset["clean"] in ingestor.view().snapshots
         counted = events(report.metrics.to_dict())
         assert counted["failed"] == 1
 
-    def test_the_failed_snapshot_is_retried_every_pass(self, dataset, tmp_path):
-        ingestor = DeltaIngestor(
-            dataset["dir"],
-            tmp_path / "strict-state",
-            options=PipelineOptions(
-                header_learning_snapshot=dataset["baseline"][-1]
-            ),
-        )
+    def test_the_failed_snapshot_is_retried_every_pass(self, dataset, ingestor):
         first = ingestor.ingest_once()
         second = ingestor.ingest_once()
         assert [s.label for s in second.failed] == [dataset["faulty"].label]
