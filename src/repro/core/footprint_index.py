@@ -32,18 +32,23 @@ index, or a daemon's incrementally-maintained one.
 On-disk layout of a state directory::
 
     state/
-      index.json             # manifest: format, corpus, {label -> token}
-      snapshots/2019-10.json # one outcome payload per snapshot
+      index.json                              # manifest: format, corpus, {label -> token}
+      snapshots/2019-10-<sha256(token)[:16]>.json  # one outcome payload per snapshot
 
 All writes are atomic (temp file + ``os.replace``), and JSON payloads
 serialize sets as sorted lists, so identical data produces identical
-bytes.  A removed snapshot's payload is unlinked only by the commit
-whose manifest no longer lists it, so a kill between ``remove()`` and
-``commit()`` leaves a state directory that reopens at its last commit.
+bytes.  A payload is named by its snapshot *and* its token, so a re-fold
+under a new token writes a new file beside the committed one; only the
+commit whose manifest names the new token sweeps the files it no longer
+lists (superseded, removed or left by an older layout).  A kill at any
+point therefore reopens at the last commit, and a manifest entry whose
+payload is missing, unreadable or carries another token reads as absent
+— the delta ingestor re-ingests that snapshot instead of failing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -220,9 +225,6 @@ class DurableFootprintIndex:
         self._dir = Path(state_dir)
         self._outcomes: dict[Snapshot, SnapshotOutcome] = {}
         self._tokens: dict[Snapshot, str] = {}
-        #: Snapshots removed since the last commit, whose payloads the
-        #: next commit unlinks once its manifest no longer lists them.
-        self._removed: set[Snapshot] = set()
         manifest_path = self._dir / self.MANIFEST
         if manifest_path.exists():
             self._load(manifest_path, corpus)
@@ -260,20 +262,21 @@ class DurableFootprintIndex:
     def fold(self, outcome: SnapshotOutcome, token: str) -> None:
         """Persist one snapshot's pure outcome under its content token.
 
-        Replaces any previous payload for the same snapshot.  The write
-        is atomic, but the in-memory view is only republished by
-        :meth:`commit` — fold as many snapshots as arrived, then commit
-        once.
+        The payload goes to a file named by the snapshot and the token, so
+        a committed payload of the same snapshot under another token stays
+        on disk — and stays the one a reopen reads — until :meth:`commit`
+        writes a manifest naming the new token.  The write is atomic, but
+        the in-memory view is only republished by :meth:`commit` — fold as
+        many snapshots as arrived, then commit once.
         """
         snapshot = outcome.footprint.snapshot
         payload = _outcome_to_payload(outcome, token)
-        _atomic_write_json(self._payload_path(snapshot), payload)
+        _atomic_write_json(self._payload_path(snapshot, token), payload)
         # Re-read through the serializer so the in-memory entry is exactly
         # what a cold load would produce (and fold() can't leak shared
         # mutable state with the caller's outcome).
         self._outcomes[snapshot] = _outcome_from_payload(payload)
         self._tokens[snapshot] = token
-        self._removed.discard(snapshot)
 
     def remove(self, snapshot: Snapshot) -> bool:
         """Drop one snapshot from the index (its corpus file vanished).
@@ -282,13 +285,14 @@ class DurableFootprintIndex:
         present = snapshot in self._outcomes
         self._outcomes.pop(snapshot, None)
         self._tokens.pop(snapshot, None)
-        self._removed.add(snapshot)
         return present
 
     def commit(self) -> IndexView:
-        """Recompute the cross-snapshot state, persist the manifest,
-        unlink the payloads removed since the last commit, and publish
-        (and return) the new immutable view."""
+        """Recompute the cross-snapshot state, persist the manifest, then
+        unlink every file under ``snapshots/`` the manifest does not name
+        (superseded, removed and older-layout payloads), and publish (and
+        return) the new immutable view.  The manifest is written first,
+        so a kill during the sweep leaves only unlisted files behind."""
         view = self._build_view()
         _atomic_write_json(
             self._dir / self.MANIFEST,
@@ -301,16 +305,23 @@ class DurableFootprintIndex:
                 },
             },
         )
-        for snapshot in self._removed:
-            self._payload_path(snapshot).unlink(missing_ok=True)
-        self._removed.clear()
+        listed = {
+            self._payload_path(snapshot, token).name
+            for snapshot, token in self._tokens.items()
+        }
+        payload_dir = self._dir / self.SNAPSHOT_DIR
+        if payload_dir.is_dir():
+            for path in payload_dir.iterdir():
+                if path.name not in listed:
+                    path.unlink(missing_ok=True)
         self._view = view
         return view
 
     # -- internals ----------------------------------------------------------------
 
-    def _payload_path(self, snapshot: Snapshot) -> Path:
-        return self._dir / self.SNAPSHOT_DIR / f"{snapshot.label}.json"
+    def _payload_path(self, snapshot: Snapshot, token: str) -> Path:
+        digest = hashlib.sha256(token.encode("utf-8")).hexdigest()[:16]
+        return self._dir / self.SNAPSHOT_DIR / f"{snapshot.label}-{digest}.json"
 
     def _load(self, manifest_path: Path, corpus: str | None) -> None:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -326,11 +337,26 @@ class DurableFootprintIndex:
                 f"{self._corpus!r}, not {corpus!r}"
             )
         for snapshot in ordered_snapshots(manifest["snapshots"]):
+            token = manifest["snapshots"][snapshot.label]
+            outcome = self._load_payload(snapshot, token)
+            if outcome is not None:
+                self._outcomes[snapshot] = outcome
+                self._tokens[snapshot] = token
+
+    def _load_payload(self, snapshot: Snapshot, token: str) -> SnapshotOutcome | None:
+        """The outcome a manifest entry names, or ``None`` when its payload
+        is missing, unreadable, of another format or written for another
+        snapshot or token — the entry then reads as absent, so the delta
+        ingestor re-ingests the snapshot."""
+        try:
             payload = json.loads(
-                self._payload_path(snapshot).read_text(encoding="utf-8")
+                self._payload_path(snapshot, token).read_text(encoding="utf-8")
             )
-            self._outcomes[snapshot] = _outcome_from_payload(payload)
-            self._tokens[snapshot] = manifest["snapshots"][snapshot.label]
+            if payload["token"] != token or payload["snapshot"] != snapshot.label:
+                return None
+            return _outcome_from_payload(payload)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
 
     def _build_view(self) -> IndexView:
         """The §6.2 restoration fold over the ordered timeline — the same

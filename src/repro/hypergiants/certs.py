@@ -58,6 +58,14 @@ class CertificateBook:
         self._issuers = issuers
         self._seed = seed
         self._chain_cache: dict[tuple, CertificateChain] = {}
+        # Issuance inputs, memoised: an issuer per label, a validity window
+        # per (hypergiant, snapshot) and one Snapshot per validity bound
+        # month, so a cache hit above builds no ``random.Random`` and no
+        # ``Snapshot``, and the chains of one era or year share their
+        # bounds instead of each holding two fresh ones.
+        self._issuers_by_label: dict[str, CertificateAuthority] = {}
+        self._era_windows: dict[tuple[str, Snapshot], tuple[Snapshot, Snapshot]] = {}
+        self._months: dict[int, Snapshot] = {}
         self._rogue_authority = CertificateAuthority.create_root(
             "Rogue Self-Managed CA",
             Snapshot(2000, 1),
@@ -68,16 +76,33 @@ class CertificateBook:
 
     def _issuer_for(self, label: str) -> CertificateAuthority:
         """A stable issuing intermediate per label."""
-        rng = random.Random(f"{self._seed}:issuer:{label}")
-        return self._issuers[rng.choice(self._issuer_names)]
+        issuer = self._issuers_by_label.get(label)
+        if issuer is None:
+            rng = random.Random(f"{self._seed}:issuer:{label}")
+            issuer = self._issuers[rng.choice(self._issuer_names)]
+            self._issuers_by_label[label] = issuer
+        return issuer
+
+    def _month(self, year: int, offset: int = 0) -> Snapshot:
+        """January of ``year`` moved by ``offset`` months."""
+        index = year * 12 + offset
+        month = self._months.get(index)
+        if month is None:
+            month = self._months[index] = Snapshot(index // 12, index % 12 + 1)
+        return month
 
     # -- hypergiant certificates ----------------------------------------------
 
     def _era_window(self, hg: HypergiantProfile, when: Snapshot) -> tuple[Snapshot, Snapshot]:
-        months = max(1, hg.validity_months(when))
-        delta = when.months_since(_ERA_EPOCH)
-        era_start = _ERA_EPOCH.plus_months((delta // months) * months)
-        return era_start, era_start.plus_months(months)
+        key = (hg.key, when)
+        window = self._era_windows.get(key)
+        if window is None:
+            months = max(1, hg.validity_months(when))
+            delta = when.months_since(_ERA_EPOCH)
+            era_start = _ERA_EPOCH.plus_months((delta // months) * months)
+            window = era_start, era_start.plus_months(months)
+            self._era_windows[key] = window
+        return window
 
     def hypergiant_chain(
         self,
@@ -314,8 +339,7 @@ class CertificateBook:
         """A WebPKI-valid DV certificate whose unvalidated Organization
         imitates ``hg_key`` but whose domains are the attacker's own."""
         hg = profile(hg_key)
-        year_start = Snapshot(when.year, 1)
-        key = ("fake-dv", hg_key, attacker_id, year_start.label)
+        key = ("fake-dv", hg_key, attacker_id, when.year)
         chain = self._chain_cache.get(key)
         if chain is None:
             issuer = self._issuer_for(f"fake-dv:{attacker_id}")
@@ -323,8 +347,8 @@ class CertificateBook:
             leaf = issuer.issue(
                 subject=SubjectName(common_name=domain, organization=hg.organization),
                 dns_names=(domain,),
-                not_before=year_start,
-                not_after=year_start.plus_months(14),
+                not_before=self._month(when.year),
+                not_after=self._month(when.year, 14),
                 provenance=f"fake-dv:{hg.key}:{attacker_id}",
             )
             chain = build_chain(leaf, issuer)
@@ -335,8 +359,7 @@ class CertificateBook:
         """A certificate a HG shares with a partner organisation: HG domains
         plus partner domains that never appear on-net (§4.3 filters it)."""
         hg = profile(hg_key)
-        year_start = Snapshot(when.year, 1)
-        key = ("shared", hg_key, partner_id, year_start.label)
+        key = ("shared", hg_key, partner_id, when.year)
         chain = self._chain_cache.get(key)
         if chain is None:
             issuer = self._issuer_for(f"shared:{hg_key}:{partner_id}")
@@ -344,8 +367,8 @@ class CertificateBook:
             leaf = issuer.issue(
                 subject=SubjectName(common_name=names[0], organization=hg.organization),
                 dns_names=names,
-                not_before=year_start,
-                not_after=year_start.plus_months(14),
+                not_before=self._month(when.year),
+                not_after=self._month(when.year, 14),
                 provenance=f"shared:{hg_key}:{partner_id}",
             )
             chain = build_chain(leaf, issuer)
@@ -363,17 +386,17 @@ class CertificateBook:
     ) -> CertificateChain:
         """An ordinary site's chain; ``invalid_mode`` selects §4.1 rejects:
         ``"expired"``, ``"self-signed"``, or ``"untrusted"``."""
-        year_start = Snapshot(when.year, 1)
-        key = ("bg", site_id, invalid_mode, year_start.label)
+        key = ("bg", site_id, invalid_mode, when.year)
         chain = self._chain_cache.get(key)
         if chain is not None:
             return chain
+        year = when.year
         domain = f"site{site_id}.example.com"
         subject = SubjectName(common_name=domain, organization=organization)
         names = (domain, f"www.{domain}")
         if invalid_mode == "self-signed":
             leaf = make_self_signed(
-                subject, names, year_start, year_start.plus_months(120),
+                subject, names, self._month(year), self._month(year, 120),
                 provenance=f"bg-selfsigned:{site_id}",
             )
             chain = CertificateChain((leaf,))
@@ -382,8 +405,8 @@ class CertificateBook:
             leaf = issuer.issue(
                 subject=subject,
                 dns_names=names,
-                not_before=year_start.plus_months(-36),
-                not_after=year_start.plus_months(-12),
+                not_before=self._month(year, -36),
+                not_after=self._month(year, -12),
                 provenance=f"bg-expired:{site_id}",
             )
             chain = build_chain(leaf, issuer)
@@ -391,8 +414,8 @@ class CertificateBook:
             leaf = self._rogue_authority.issue(
                 subject=subject,
                 dns_names=names,
-                not_before=year_start,
-                not_after=year_start.plus_months(24),
+                not_before=self._month(year),
+                not_after=self._month(year, 24),
                 provenance=f"bg-untrusted:{site_id}",
             )
             chain = build_chain(leaf, self._rogue_authority, include_root=True)
@@ -401,8 +424,8 @@ class CertificateBook:
             leaf = issuer.issue(
                 subject=subject,
                 dns_names=names,
-                not_before=year_start,
-                not_after=year_start.plus_months(15),
+                not_before=self._month(year),
+                not_after=self._month(year, 15),
                 provenance=f"bg:{site_id}",
             )
             chain = build_chain(leaf, issuer)

@@ -31,6 +31,9 @@ class ExclusionList:
     operating_since: Snapshot
     seed: int = 0
     _cache: dict[Snapshot, frozenset[int]] = field(default_factory=dict, repr=False)
+    #: Every candidate /24, shuffled once with ``seed``; each snapshot's
+    #: exclusion set is a prefix of it.
+    _order: list[int] | None = field(default=None, repr=False)
 
     def excluded_blocks(
         self, universe: tuple[IPv4Prefix, ...], snapshot: Snapshot
@@ -43,8 +46,18 @@ class ExclusionList:
         cached = self._cache.get(snapshot)
         if cached is not None:
             return cached
+        if self._order is None:
+            self._order = self._shuffled_blocks(universe)
         months = max(0, snapshot.months_since(self.operating_since))
         fraction = min(0.5, self.growth_per_year * months / 12.0)
+        excluded = frozenset(self._order[: int(len(self._order) * fraction)])
+        self._cache[snapshot] = excluded
+        return excluded
+
+    def _shuffled_blocks(self, universe: tuple[IPv4Prefix, ...]) -> list[int]:
+        """Deterministic choice: shuffle the universe's /24s once with the
+        scanner's seed, so taking a growing prefix of the order grows the
+        set monotonically."""
         blocks: list[int] = []
         for prefix in universe:
             if prefix.length > 24:
@@ -54,14 +67,9 @@ class ExclusionList:
                 blocks.extend(
                     prefix.network + offset for offset in range(0, prefix.num_addresses, step)
                 )
-        count = int(len(blocks) * fraction)
-        # Deterministic choice: shuffle once with the scanner's seed, then
-        # take a prefix of the shuffled order so the set grows monotonically.
         ordering = sorted(blocks)
         random.Random(self.seed).shuffle(ordering)
-        excluded = frozenset(ordering[:count])
-        self._cache[snapshot] = excluded
-        return excluded
+        return ordering
 
     def is_excluded(self, ip: int, excluded_blocks: frozenset[int]) -> bool:
         """Does ``ip`` fall inside an excluded /24?"""

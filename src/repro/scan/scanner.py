@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from repro.obs.metrics import MetricsRegistry
 from repro.scan.exclusions import ExclusionList
 from repro.scan.records import ScanSnapshot
+from repro.store import SnapshotStore
 from repro.timeline import CENSYS_AVAILABLE, HTTPS_HEADERS_AVAILABLE, Snapshot
 
-__all__ = ["ScannerProfile", "Scanner", "RAPID7", "CENSYS", "CERTIGO"]
+__all__ = ["ScannerProfile", "Scanner", "ScanRows", "RAPID7", "CENSYS", "CERTIGO"]
 
 _HASH_A = 2654435761
 _HASH_B = 2246822519
@@ -89,6 +90,50 @@ CERTIGO = ScannerProfile(
 )
 
 
+class ScanRows:
+    """One snapshot's scan rows, gathered column by column and landed in
+    a store with one :meth:`~repro.store.SnapshotStore.add_rows` call.
+
+    :meth:`add` files one server's observation (what
+    :meth:`~repro.world.policy.ServingPolicy.observe` returns).  Columns
+    instead of row tuples: no per-row object outlives the scan, so the
+    rows never reach the collector's older generations.
+    """
+
+    __slots__ = ("tls_ip", "tls_chain", "tls_stack", "http_ip", "http_port", "http_headers")
+
+    def __init__(self) -> None:
+        self.tls_ip: list[int] = []
+        self.tls_chain: list = []
+        self.tls_stack: list = []
+        self.http_ip: list[int] = []
+        self.http_port: list[int] = []
+        self.http_headers: list = []
+
+    def add(self, ip: int, chain, stack, https_headers, http_headers) -> None:
+        """A TLS row when ``chain`` is set, then one HTTP row per port
+        whose headers are set (443 before 80)."""
+        if chain is not None:
+            self.tls_ip.append(ip)
+            self.tls_chain.append(chain)
+            self.tls_stack.append(stack)
+            if https_headers is not None:
+                self.http_ip.append(ip)
+                self.http_port.append(443)
+                self.http_headers.append(https_headers)
+        if http_headers is not None:
+            self.http_ip.append(ip)
+            self.http_port.append(80)
+            self.http_headers.append(http_headers)
+
+    def land(self, store: SnapshotStore) -> None:
+        """Append every gathered row to ``store``."""
+        store.add_rows(
+            zip(self.tls_ip, self.tls_chain, self.tls_stack),
+            zip(self.http_ip, self.http_port, self.http_headers),
+        )
+
+
 class Scanner:
     """Runs one scanner profile against a world."""
 
@@ -114,7 +159,12 @@ class Scanner:
         """Produce this scanner's corpus for ``snapshot``.
 
         ``world`` is a :class:`repro.world.World` (duck-typed: needs
-        ``servers``, ``policy`` and ``prefix_universe``).
+        ``servers``, ``policy`` and ``prefix_universe``).  What each
+        reached server answers comes from ``policy.observe``, memoised per
+        server and epoch (:meth:`~repro.world.policy.ServingPolicy.epoch`),
+        so sweeping the timeline derives an ordinary web server's rows
+        once per year; the snapshot's rows land in the store with one
+        :meth:`~repro.store.SnapshotStore.add_rows` call.
 
         With a ``registry``, the sweep accounts for where coverage went:
         ``scan_servers_total{scanner, outcome}`` counts every live server
@@ -122,16 +172,10 @@ class Scanner:
         limiting) / ipv6_only — plus, in scenario worlds, withdrawn
         (cache-withdrawal events) and scan_outage (regional blackouts) —
         and ``scan_records_total{scanner, kind}`` the TLS and HTTP records
-        the corpus ends up with.
+        the corpus ends up with.  Outcomes are tallied in the loop and
+        each nonzero one is booked once at the end.
         """
         profile = self.profile
-
-        def count(outcome: str) -> None:
-            if registry is not None:
-                registry.counter(
-                    "scan_servers_total", scanner=profile.name, outcome=outcome
-                ).inc()
-
         if snapshot < profile.available_since:
             raise ValueError(
                 f"{profile.name} has no data before {profile.available_since}; "
@@ -141,62 +185,66 @@ class Scanner:
         if self._exclusions is not None:
             excluded = self._exclusions.excluded_blocks(world.prefix_universe, snapshot)
 
-        want_https_headers = (
+        record_https = (
             profile.https_headers_since is not None and snapshot >= profile.https_headers_since
         )
-        want_http_headers = (
+        record_http = (
             profile.http_headers_since is not None and snapshot >= profile.http_headers_since
         )
 
-        result = ScanSnapshot(scanner=profile.name, snapshot=snapshot)
-        store = result.store
-        policy = world.policy
-        stack_of = getattr(policy, "stack_profile", None)
+        observe = world.policy.observe
         # Scenario worlds carry an event overlay; the default world carries
         # none, so the per-server loop below pays nothing for it.
         overlay = getattr(world, "event_overlay", None)
         index = snapshot.index
+        tag = self._tag
+        visibility = profile.visibility
+        rows = ScanRows()
+        add_row = rows.add
+        ipv6_only = outage = withdrawn = excluded_count = unresponsive = reached = 0
         for server in world.servers:
-            if not server.alive_at(snapshot):
+            if not server.birth_index <= index <= server.death_index:
                 continue
             if server.ipv6_only:
-                count("ipv6_only")
+                ipv6_only += 1
                 continue  # IPv4-wide scans never reach IPv6-only hosts (§7)
             if overlay is not None:
                 if overlay.scan_suppressed(profile.name, server.asn, snapshot):
-                    count("scan_outage")
+                    outage += 1
                     continue
                 if overlay.withdrawal_suppressed(server, snapshot):
-                    count("withdrawn")
+                    withdrawn += 1
                     continue
-            if excluded and (server.ip & ~0xFF) in excluded:
-                count("excluded")
+            ip = server.ip
+            if excluded and (ip & ~0xFF) in excluded:
+                excluded_count += 1
                 continue
-            if _uniform(server.ip, self._tag, index) >= profile.visibility:
-                count("unresponsive")
+            if _uniform(ip, tag, index) >= visibility:
+                unresponsive += 1
                 continue
-            count("reached")
-            if policy.https_enabled(server, snapshot):
-                chain = policy.default_chain(server, snapshot)
-                if chain is not None:
-                    store.add_tls(
-                        server.ip,
-                        chain,
-                        None if stack_of is None else stack_of(server, snapshot),
-                    )
-                    if want_https_headers:
-                        headers = policy.headers(server, snapshot, port=443)
-                        if headers:
-                            store.add_http(server.ip, 443, headers)
-            if want_http_headers:
-                headers = policy.headers(server, snapshot, port=80)
-                if headers:
-                    store.add_http(server.ip, 80, headers)
+            reached += 1
+            add_row(ip, *observe(server, snapshot, record_https, record_http))
+
+        result = ScanSnapshot(scanner=profile.name, snapshot=snapshot)
+        rows.land(result.store)
         if registry is not None:
+            outcomes = {
+                "ipv6_only": ipv6_only,
+                "scan_outage": outage,
+                "withdrawn": withdrawn,
+                "excluded": excluded_count,
+                "unresponsive": unresponsive,
+                "reached": reached,
+            }
+            for outcome, count in outcomes.items():
+                if count:
+                    registry.counter(
+                        "scan_servers_total", scanner=profile.name, outcome=outcome
+                    ).inc(count)
             registry.counter(
                 "scan_records_total", scanner=profile.name, kind="tls"
-            ).inc(store.tls_row_count)
+            ).inc(result.store.tls_row_count)
             registry.counter(
                 "scan_records_total", scanner=profile.name, kind="http"
-            ).inc(store.http_row_count)
+            ).inc(result.store.http_row_count)
         return result

@@ -9,12 +9,16 @@ hundred thousand servers stay cheap to hold in memory.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.net.asn import ASN
 from repro.timeline import Snapshot
 
 __all__ = ["ServerKind", "SimulatedServer"]
+
+#: A month index past every snapshot: the ``death_index`` of a server
+#: that never dies.
+_NEVER = 1 << 62
 
 
 class ServerKind(enum.Enum):
@@ -79,12 +83,19 @@ class SimulatedServer:
     ipv6_only: bool = False
     #: Stable per-server noise in [0, 1), assigned at build time.
     salt: float = 0.0
+    #: ``birth`` and ``death`` as :attr:`Snapshot.index` month counts, set
+    #: at construction, so a scan's liveness test compares integers
+    #: (``death`` unset: never).
+    birth_index: int = field(init=False, repr=False, compare=False)
+    death_index: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.birth_index = self.birth.index
+        self.death_index = _NEVER if self.death is None else self.death.index
 
     def alive_at(self, snapshot: Snapshot) -> bool:
         """Is the server up at ``snapshot``?"""
-        if snapshot < self.birth:
-            return False
-        return self.death is None or snapshot <= self.death
+        return self.birth_index <= snapshot.index <= self.death_index
 
     @property
     def is_hypergiant_metal(self) -> bool:

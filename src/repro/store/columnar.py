@@ -26,7 +26,7 @@ views so every existing per-record consumer still works unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.x509.chain import CertificateChain
 
@@ -64,8 +64,9 @@ class SnapshotStore:
 
     Chains, Organization strings, dNSName tuples and header tuples are
     interned once each (``intern_chain`` et al.); observations append to
-    parallel row columns (``add_tls``/``add_tls_row``/``add_http``).
-    Readers
+    parallel row columns, a whole snapshot at a time (``add_rows``) or
+    one row at a time for streaming readers
+    (``add_tls``/``add_tls_row``/``add_http``).  Readers
     either walk the intern tables directly (the §4 hot paths) or use
     the lazy row views on :class:`~repro.scan.records.ScanSnapshot`.
     ``stats()`` summarises the dedup payoff for the run report.
@@ -200,18 +201,16 @@ class SnapshotStore:
         """The chain's index in the unique-chain table (interning it on
         first sight, along with its Organization string and lowercased
         dNSName tuple)."""
-        fingerprint = chain.end_entity.fingerprint
+        leaf = chain.end_entity
+        fingerprint = leaf.fingerprint
         index = self._chain_index.get(fingerprint)
         if index is not None:
             return index
         index = len(self.chains)
         self._chain_index[fingerprint] = index
         self.chains.append(chain)
-        leaf = chain.end_entity
         self.chain_org.append(self._intern_org(leaf.subject.organization))
-        self.chain_dns.append(
-            self._intern_dns(tuple(name.lower() for name in leaf.dns_names))
-        )
+        self.chain_dns.append(self._intern_dns(tuple(map(str.lower, leaf.dns_names))))
         return index
 
     def _intern_org(self, organization: str) -> int:
@@ -282,21 +281,66 @@ class SnapshotStore:
         self.http_header.append(self._intern_headers(headers))
         self._http_by_key = None
 
+    def add_rows(
+        self,
+        tls_rows: Iterable[tuple[int, CertificateChain, tuple[str, str, str] | None]],
+        http_rows: Iterable[tuple[int, int, tuple[tuple[str, str], ...]]],
+    ) -> None:
+        """Append TLS rows ``(ip, chain, stack or None)`` and HTTP rows
+        ``(ip, port, headers)`` in one pass.  The tables, columns and
+        their order equal those of an ``add_tls`` call per TLS row
+        followed by an ``add_http`` call per HTTP row."""
+        chain_index = self._chain_index
+        stack_index = self._stack_index
+        tls_ip = self.tls_ip
+        tls_chain = self.tls_chain
+        tls_stack = self.tls_stack
+        first_new_row = len(tls_ip)
+        for ip, chain, stack in tls_rows:
+            index = chain_index.get(chain.end_entity.fingerprint)
+            if index is None:
+                index = self.intern_chain(chain)
+            tls_ip.append(ip)
+            tls_chain.append(index)
+            if stack is None:
+                tls_stack.append(0)
+            else:
+                slot = stack_index.get(stack)
+                tls_stack.append(self.intern_stack(stack) if slot is None else slot)
+        header_index = self._header_index
+        http_ip = self.http_ip
+        http_port = self.http_port
+        http_header = self.http_header
+        for ip, port, headers in http_rows:
+            index = header_index.get(headers)
+            if index is None:
+                index = self._intern_headers(headers)
+            http_ip.append(ip)
+            http_port.append(port)
+            http_header.append(index)
+        self._tls_ip_set.update(tls_ip[first_new_row:])
+        self._frozen_ips = None
+        self._stack_by_ip = None
+        self._http_by_key = None
+
     def extend(self, other: "SnapshotStore") -> None:
         """Append every row of ``other``, re-interning into this store's
         tables (the IPv6 corpus-merge path)."""
-        for ip, chain_index, stack_index in zip(
-            other.tls_ip, other.tls_chain, other.tls_stack
-        ):
-            self.add_tls_row(
-                ip,
-                self.intern_chain(other.chains[chain_index]),
-                self.intern_stack(other.stack_table[stack_index]),
-            )
-        for ip, port, header_index in zip(
-            other.http_ip, other.http_port, other.http_header
-        ):
-            self.add_http(ip, port, other.header_table[header_index])
+        chains, stacks, headers = other.chains, other.stack_table, other.header_table
+        self.add_rows(
+            [
+                (ip, chains[chain_index], stacks[stack_index])
+                for ip, chain_index, stack_index in zip(
+                    other.tls_ip, other.tls_chain, other.tls_stack
+                )
+            ],
+            [
+                (ip, port, headers[header_index])
+                for ip, port, header_index in zip(
+                    other.http_ip, other.http_port, other.http_header
+                )
+            ],
+        )
 
     def reset_tls(self) -> None:
         """Drop every TLS row and the chain/org/dns tables they intern."""

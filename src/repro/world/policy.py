@@ -10,6 +10,12 @@ snapshot:
   off-nets also answer for their delivery customers' domains, which is the
   §5 cross-validation anomaly)
 * which response headers come back?
+
+A no-SNI scan asks all of these at once through :meth:`ServingPolicy.observe`,
+memoised per server and *epoch* — the span of snapshots over which a
+server's answers cannot change (:meth:`ServingPolicy.epoch`) — so a sweep
+derives each ordinary web server's rows once per year, not once per
+snapshot.
 """
 
 from __future__ import annotations
@@ -29,7 +35,20 @@ from repro.timeline import NETFLIX_HTTP_ERA, Snapshot
 from repro.world.events import EventOverlay
 from repro.x509.chain import CertificateChain
 
-__all__ = ["ServingPolicy", "NETFLIX_HTTP_ONLY_FRACTION", "AKAMAI_DELIVERY_CUSTOMERS"]
+__all__ = [
+    "ServingPolicy",
+    "Observation",
+    "NETFLIX_HTTP_ONLY_FRACTION",
+    "AKAMAI_DELIVERY_CUSTOMERS",
+]
+
+#: What a no-SNI scan records from one server: the default chain
+#: (``None``: no TLS row), its TLS stack features (``None`` without a
+#: chain), and the port-443 and port-80 response headers (``None``: no
+#: row for that port).
+Observation = tuple[
+    CertificateChain | None, StackFeatures | None, Headers | None, Headers | None
+]
 
 #: 26.8% of Netflix off-net IPs stopped answering HTTPS in the era (§6.2).
 NETFLIX_HTTP_ONLY_FRACTION = 0.268
@@ -65,11 +84,38 @@ def _offnet_shard(server: SimulatedServer, snapshot: Snapshot) -> int:
     return int(salt * 3)
 
 
+class _Observed:
+    """One server's memo entry, overwritten in place on a miss, so the
+    memo allocates one entry per server however many epochs it sees."""
+
+    __slots__ = (
+        "server",
+        "epoch",
+        "record_https",
+        "record_http",
+        "chain",
+        "stack",
+        "https_headers",
+        "http_headers",
+    )
+
+    def __init__(self, server: SimulatedServer) -> None:
+        self.server = server
+        self.epoch = self.record_https = self.record_http = None
+
+
 class ServingPolicy:
     """Resolves server behaviour against the certificate and header books.
 
     ``evading_hypergiant``/``evasion_strategies`` implement the §8
     hide-and-seek options for one hypergiant's off-nets.
+
+    The per-question methods (:meth:`https_enabled`,
+    :meth:`default_chain`, :meth:`stack_profile`, :meth:`headers`) derive
+    an answer afresh on every call.  :meth:`observe` is the one place the
+    no-SNI scan sequence — HTTPS up? default chain, stack, headers — is
+    written; it keeps one memo entry per server, keyed by
+    :meth:`epoch`.
     """
 
     def __init__(
@@ -88,6 +134,10 @@ class ServingPolicy:
         # generation every hypergiant chain is issued under.  ``None``
         # (event-free worlds) keeps all call sites on generation 0.
         self._overlay = overlay
+        # server IP -> the server's last observation and its key.  IPs are
+        # unique within a world; the server check keeps a stray duplicate
+        # from reading another server's entry.
+        self._observed: dict[int, _Observed] = {}
 
     def _evades(self, server: SimulatedServer, strategy: str) -> bool:
         return (
@@ -101,6 +151,79 @@ class ServingPolicy:
         if self._overlay is None:
             return 0
         return self._overlay.cert_generation(hypergiant, snapshot)
+
+    # -- the memoised scan observation ------------------------------------
+
+    def epoch(self, server: SimulatedServer, snapshot: Snapshot) -> Snapshot | int:
+        """The epoch of ``snapshot`` for ``server``: snapshots with equal
+        epochs get equal answers from :meth:`https_enabled`,
+        :meth:`default_chain` (the same chain object), :meth:`stack_profile`
+        and :meth:`headers` on both ports.
+
+        * Background, fake-DV and shared-certificate servers: the calendar
+          year.  Their chains are issued per year (``background_chain``,
+          ``fake_dv_chain`` and ``shared_chain`` key on January of the
+          snapshot's year), no evasion strategy, cert-rotation event or
+          Netflix era applies to them, and their stack and headers never
+          change.
+        * Every other kind: the snapshot itself.  Hypergiant header values
+          carry per-snapshot request tokens, and hypergiant chains follow
+          validity eras, rotation generations and Netflix's eras.
+        """
+        kind = server.kind
+        if (
+            kind is ServerKind.BACKGROUND
+            or kind is ServerKind.FAKE_DV
+            or kind is ServerKind.SHARED_CERT
+        ):
+            return snapshot.year
+        return snapshot
+
+    def observe(
+        self,
+        server: SimulatedServer,
+        snapshot: Snapshot,
+        record_https: bool,
+        record_http: bool,
+    ) -> Observation:
+        """What a no-SNI port-443 handshake plus the recorded GETs capture
+        from ``server`` at ``snapshot``: ``(chain, stack, https_headers,
+        http_headers)`` (see :data:`Observation`).  HTTPS headers are only
+        taken from a server that presented a chain, and only when
+        ``record_https``; port-80 headers only when ``record_http``; an
+        empty header set records no row.
+
+        Memoised: each server keeps its last ``(epoch, record_https,
+        record_http)`` key and observation, so a sweep in time order
+        derives a year-epoch server once per year and never derives a
+        header the caller does not record.  A hit only skips book calls
+        for chains already issued, so the order in which chains are first
+        issued — and with it every serial and fingerprint — is the one
+        the per-question methods would produce.
+        """
+        epoch = self.epoch(server, snapshot)
+        memo = self._observed.get(server.ip)
+        if memo is None or memo.server is not server:
+            memo = self._observed[server.ip] = _Observed(server)
+        elif (
+            memo.epoch == epoch
+            and memo.record_https == record_https
+            and memo.record_http == record_http
+        ):
+            return memo.chain, memo.stack, memo.https_headers, memo.http_headers
+        chain = stack = https_headers = http_headers = None
+        if self.https_enabled(server, snapshot):
+            chain = self.default_chain(server, snapshot)
+            if chain is not None:
+                stack = self.stack_profile(server, snapshot)
+                if record_https:
+                    https_headers = self.headers(server, snapshot, port=443) or None
+        if record_http:
+            http_headers = self.headers(server, snapshot, port=80) or None
+        memo.epoch, memo.record_https, memo.record_http = epoch, record_https, record_http
+        memo.chain, memo.stack = chain, stack
+        memo.https_headers, memo.http_headers = https_headers, http_headers
+        return chain, stack, https_headers, http_headers
 
     # -- availability -----------------------------------------------------
 

@@ -24,7 +24,7 @@ from repro.hypergiants.deployment import DeploymentPlan
 from repro.net.asn import ASN
 from repro.net.ipv4 import IPv4Prefix
 from repro.scan.records import ScanSnapshot
-from repro.scan.scanner import CENSYS, CERTIGO, RAPID7, Scanner, ScannerProfile
+from repro.scan.scanner import CENSYS, CERTIGO, RAPID7, ScanRows, Scanner, ScannerProfile
 from repro.scan.server import SimulatedServer
 from repro.timeline import Snapshot
 from repro.world.build import WorldParts, build_world_parts
@@ -221,23 +221,15 @@ class World:
         cached = self._ipv6_scan_cache.get(snapshot)
         if cached is not None:
             return cached
-        result = ScanSnapshot(scanner="ipv6-research", snapshot=snapshot)
-        store = result.store
+        rows = ScanRows()
         for server in self.servers:
-            if not server.ipv6_only or not server.alive_at(snapshot):
-                continue
-            if self.policy.https_enabled(server, snapshot):
-                chain = self.policy.default_chain(server, snapshot)
-                if chain is not None:
-                    store.add_tls(
-                        server.ip, chain, self.policy.stack_profile(server, snapshot)
-                    )
-                    headers = self.policy.headers(server, snapshot, port=443)
-                    if headers:
-                        store.add_http(server.ip, 443, headers)
-            headers = self.policy.headers(server, snapshot, port=80)
-            if headers:
-                store.add_http(server.ip, 80, headers)
+            if server.ipv6_only and server.alive_at(snapshot):
+                observation = self.policy.observe(
+                    server, snapshot, record_https=True, record_http=True
+                )
+                rows.add(server.ip, *observation)
+        result = ScanSnapshot(scanner="ipv6-research", snapshot=snapshot)
+        rows.land(result.store)
         self._ipv6_scan_cache[snapshot] = result
         return result
 

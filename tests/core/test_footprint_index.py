@@ -16,6 +16,7 @@ index must recompute it over the whole timeline at commit rather than
 accumulate it in arrival order.
 """
 
+import dataclasses
 import json
 import random
 
@@ -208,7 +209,81 @@ class TestDurableMechanics:
         assert victim not in index.view().snapshots
         reloaded = DurableFootprintIndex(index.state_dir)
         assert victim not in reloaded.view().snapshots
-        assert not (index.state_dir / "snapshots" / f"{victim.label}.json").exists()
+        payload_dir = index.state_dir / DurableFootprintIndex.SNAPSHOT_DIR
+        assert not list(payload_dir.glob(f"{victim.label}*"))
+
+    def test_kill_after_a_refold_reopens_the_committed_outcome(
+        self, tmp_path, pipeline_result, outcomes
+    ):
+        """A re-fold writes beside the committed payload, not over it: a
+        kill before the next commit reopens the last committed outcome
+        under the token the manifest lists."""
+        index = DurableFootprintIndex(tmp_path / "idx", corpus=pipeline_result.corpus)
+        snapshot = outcomes[0].footprint.snapshot
+
+        def with_raw_ips(count):
+            footprint = dataclasses.replace(outcomes[0].footprint, raw_ip_count=count)
+            return dataclasses.replace(outcomes[0], footprint=footprint)
+
+        index.fold(with_raw_ips(100), "t-old")
+        index.commit()
+        index.fold(with_raw_ips(999), "t-new")
+        reopened = DurableFootprintIndex(index.state_dir)
+        assert reopened.token(snapshot) == "t-old"
+        assert reopened.view().at(snapshot).raw_ip_count == 100
+        index.commit()
+        reopened = DurableFootprintIndex(index.state_dir)
+        assert reopened.token(snapshot) == "t-new"
+        assert reopened.view().at(snapshot).raw_ip_count == 999
+
+    def test_commit_leaves_one_payload_per_indexed_snapshot(
+        self, tmp_path, pipeline_result, outcomes
+    ):
+        """Superseded, removed and older-layout payloads are swept."""
+        index = DurableFootprintIndex(tmp_path / "idx", corpus=pipeline_result.corpus)
+        for number, outcome in enumerate(outcomes[:3]):
+            index.fold(outcome, f"first-{number}")
+        index.commit()
+        payload_dir = index.state_dir / DurableFootprintIndex.SNAPSHOT_DIR
+        legacy = payload_dir / f"{outcomes[0].footprint.snapshot.label}.json"
+        legacy.write_text("{}")
+        index.fold(outcomes[1], "second-1")
+        index.remove(outcomes[2].footprint.snapshot)
+        index.commit()
+        names = sorted(path.name for path in payload_dir.iterdir())
+        assert len(names) == len(index.tokens()) == 2
+        for snapshot in index.tokens():
+            assert sum(name.startswith(snapshot.label) for name in names) == 1
+
+    @pytest.mark.parametrize("damage", ["missing", "unreadable", "other-token"])
+    def test_a_damaged_payload_reads_as_absent(
+        self, tmp_path, pipeline_result, outcomes, damage
+    ):
+        """A manifest entry whose payload is gone, unreadable or written
+        for another token reopens as absent (so the delta ingestor
+        re-ingests it), never as an error; the rest of the index loads."""
+        index = DurableFootprintIndex(tmp_path / "idx", corpus=pipeline_result.corpus)
+        index.fold(outcomes[0], "t0")
+        index.fold(outcomes[1], "t1")
+        index.commit()
+        victim = outcomes[0].footprint.snapshot
+        (path,) = (index.state_dir / DurableFootprintIndex.SNAPSHOT_DIR).glob(
+            f"{victim.label}-*.json"
+        )
+        if damage == "missing":
+            path.unlink()
+        elif damage == "unreadable":
+            path.write_text('{"format": ')
+        else:
+            payload = json.loads(path.read_text())
+            payload["token"] = "t-elsewhere"
+            path.write_text(json.dumps(payload))
+        reopened = DurableFootprintIndex(index.state_dir)
+        assert reopened.token(victim) is None
+        assert reopened.view().snapshots == (outcomes[1].footprint.snapshot,)
+        reopened.fold(outcomes[0], "t0")
+        reopened.commit()
+        assert DurableFootprintIndex(index.state_dir).tokens() == index.tokens()
 
     def test_manifest_records_the_format_version(self, cold_index):
         manifest = json.loads(

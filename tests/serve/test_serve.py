@@ -294,3 +294,22 @@ class TestStrictFailureIsolation:
         assert [s.label for s in second.failed] == [dataset["faulty"].label]
         assert len(second.skipped) == len(first.skipped) + len(first.ingested)
         assert not second.committed  # nothing changed state the second time
+
+
+class TestDamagedState:
+    def test_a_missing_payload_is_reingested(self, dataset, tmp_path):
+        """A state dir whose manifest lists a snapshot with no payload
+        reopens without it, and the next pass re-ingests exactly that
+        snapshot."""
+        options = PipelineOptions(header_learning_snapshot=dataset["baseline"][-1])
+        state = tmp_path / "state"
+        first = DeltaIngestor(dataset["dir"], state, options=options).ingest_once()
+        victim = first.ingested[0]
+        (payload,) = (state / "snapshots").glob(f"{victim.label}-*.json")
+        payload.unlink()
+        reopened = DeltaIngestor(dataset["dir"], state, options=options)
+        assert victim not in reopened.view().snapshots
+        second = reopened.ingest_once()
+        assert second.ingested == (victim,)
+        assert second.committed
+        assert victim in reopened.view().snapshots
