@@ -3,96 +3,22 @@
 Not a paper exhibit — the engineering counterpart: per-stage timings over
 the benchmark world's final snapshot so regressions in the hot paths
 (validation, fingerprinting, the candidate rule, header confirmation,
-IP-to-AS construction) are caught, plus the longitudinal engine's two
-headline numbers: serial-vs-parallel wall-clock speedup (``jobs=4`` vs
-``jobs=1``, outputs asserted identical) and the §4.1 cross-snapshot
-validation-cache hit rate.
+IP-to-AS construction) are visible, plus the columnar store's dedup
+accounting over a full run and its §4.1 cross-snapshot validation-cache
+hit rate.  Each bench writes its ``.txt`` table to ``benchmarks/output/``.
 
-The longitudinal benches emit their measurements as **run reports**
-(schema ``repro.run-report/1``, see :mod:`repro.obs.report`) — the same
-artifact ``python -m repro run --report`` writes and
-``tools/check_report.py`` diffs.  Full reports run to ~25k lines each, so
-they land in ``benchmarks/output/raw/`` (gitignored); what gets tracked
-is a small headline summary per bench (``perf_*_summary.json``) distilled
-by :func:`summarize_report`.
+Whole-run speed (executors, the disk stage cache, corpus codecs, the
+serve daemon) is measured by ``perfbench/``, under its paired rule.
 """
 
-import json
-import os
-import time
-
-from benchmarks.conftest import OUTPUT_DIR, write_output
+from benchmarks.conftest import write_output
 from repro.bgp import IPToASMap
 from repro.core import (
     CertificateValidator,
     OffnetPipeline,
-    PipelineOptions,
     find_candidates,
     learn_tls_fingerprint,
 )
-from repro.obs.report import deterministic_view, validate_report, write_report
-from repro.world import build_world
-from tools.check_report import compare_reports
-
-#: Bulky raw run reports (untracked); summaries stay in OUTPUT_DIR proper.
-RAW_DIR = OUTPUT_DIR / "raw"
-
-
-def summarize_report(report: dict) -> dict:
-    """Distill a full run report into the tracked headline numbers.
-
-    Keeps the regression-relevant shape — snapshot count, store dedup
-    ratios, per-stage seconds, validation- and stage-cache hit rates —
-    while dropping the per-snapshot funnel that makes full reports ~25k
-    lines.  The full report still exists under ``benchmarks/output/raw/``
-    for anyone who needs the detail.
-    """
-    store = report.get("store", {})
-    cache = report.get("cache", {})
-    stage_cache = report.get("stage_cache", {})
-    return {
-        "schema": report.get("schema"),
-        "corpus": report.get("corpus"),
-        "snapshot_count": len(report.get("snapshots", [])),
-        "stages_seconds": {
-            stage: round(entry["seconds"], 3)
-            for stage, entry in sorted(report.get("stages", {}).items())
-        },
-        "store": {
-            "tls_rows": store.get("tls_rows", 0),
-            "unique_chains": store.get("unique_chains", 0),
-            "unique_chain_ratio": round(store.get("unique_chain_ratio", 0.0), 4),
-            "validation_work": store.get("validation_work", {}),
-            "match_work": store.get("match_work", {}),
-        },
-        "validation_cache_hit_rate": round(cache.get("hit_rate", 0.0), 4),
-        "stage_cache": {
-            "hits": stage_cache.get("hits", 0),
-            "misses": stage_cache.get("misses", 0),
-            "hit_rate": round(stage_cache.get("hit_rate", 0.0), 4),
-            "stages": stage_cache.get("stages", {}),
-        },
-    }
-
-
-def write_summary(name: str, summary: dict) -> None:
-    """Write a tracked summary JSON next to the bench's text output.
-
-    Every summary records the host's CPU count: perf numbers are
-    meaningless without it (a 0.7x "speedup" on a single-core runner is
-    expected, not a regression), and the CI perf gates read it to decide
-    which assertions the host can honestly support.
-    """
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    summary.setdefault("cpu_count", os.cpu_count() or 1)
-    path = OUTPUT_DIR / f"{name}.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-def write_raw_report(report: dict, name: str) -> None:
-    """Park a full (bulky, untracked) run report under ``output/raw/``."""
-    RAW_DIR.mkdir(parents=True, exist_ok=True)
-    write_report(report, RAW_DIR / name)
 
 
 def _prepared(world):
@@ -168,7 +94,8 @@ def test_store_dedup_accounting(world):
     """The columnar store's payoff, persisted for regression tracking:
     validate-stage wall-clock, the unique-chain ratio, and the §4.1
     verifications the per-unique-chain broadcast saved — straight from
-    the run report's ``store`` section."""
+    the run report's ``store`` section — plus the §4.1 validation
+    cache's cross-snapshot hit rate over the same full run."""
     pipeline = OffnetPipeline(world)
     pipeline.header_rules()
     result = pipeline.run()
@@ -181,6 +108,8 @@ def test_store_dedup_accounting(world):
     assert work["unique_chains_verified"] == store["unique_chains"]
     assert work["rows_broadcast"] == store["tls_rows"]
     assert 0.0 < store["unique_chain_ratio"] <= 1.0
+    cache = result.validation_cache
+    assert cache.hit_rate > 0.5, "cross-snapshot cert reuse should dominate"
 
     write_output(
         "perf_store_dedup",
@@ -192,257 +121,8 @@ def test_store_dedup_accounting(world):
         f"{work['rows_broadcast']} rows "
         f"({work['verifications_saved']} verifications saved)\n"
         f"§4.3 subset tests: {store['match_work']['subset_tests_computed']} computed, "
-        f"{store['match_work']['subset_tests_reused']} reused",
-    )
-    write_raw_report(report, "perf_store_dedup_report.json")
-    write_summary("perf_store_dedup_summary", summarize_report(report))
-
-
-def _timed_run(jobs: int):
-    """One full multi-snapshot run on a fresh default-scale world.
-
-    A fresh world per run keeps the comparison honest: neither run may
-    inherit the other's warm scan/ip2as caches.
-    """
-    world = build_world(seed=7, scale=0.02)
-    pipeline = OffnetPipeline(world, PipelineOptions(jobs=jobs))
-    pipeline.header_rules()  # §4.4 learning happens once, outside the timed region
-    start = time.perf_counter()
-    result = pipeline.run()
-    return result, time.perf_counter() - start
-
-
-def test_parallel_speedup_and_cache():
-    """The longitudinal engine: jobs=4 vs jobs=1 over all 31 snapshots,
-    with the parallel output asserted equal to the sequential output and
-    both runs persisted as schema-versioned run reports."""
-    parallel, parallel_seconds = _timed_run(jobs=4)
-    serial, serial_seconds = _timed_run(jobs=1)
-    assert parallel == serial, "parallel run diverged from serial run"
-
-    # Emit both measurements in the run-report schema — the artifact the
-    # CI bench gate diffs — and hold them to the same bar here: valid
-    # schema, and zero funnel drift between executors.
-    serial_report = serial.report()
-    parallel_report = parallel.report()
-    assert validate_report(serial_report) == []
-    assert validate_report(parallel_report) == []
-    write_raw_report(serial_report, "perf_run_report_serial.json")
-    write_raw_report(parallel_report, "perf_run_report_parallel.json")
-    write_summary("perf_run_report_summary", summarize_report(serial_report))
-    problems = compare_reports(serial_report, parallel_report)
-    assert not problems, f"run reports diverged across executors: {problems}"
-
-    speedup = serial_seconds / parallel_seconds
-    cache = serial.validation_cache
-    cores = len(os.sched_getaffinity(0))
-    stage_report = ", ".join(
-        f"{stage} {seconds:.2f}s" for stage, seconds in sorted(serial.timings.items())
-    )
-    if cores >= 2:
-        speedup_note = f"speedup bar enforced on {cores} cores"
-    else:
-        speedup_note = (
-            "speedup bar SKIPPED: single-core host — a process pool cannot "
-            "beat serial wall-clock without a second core; only output "
-            "parity is asserted here"
-        )
-    write_output(
-        "perf_parallel_speedup",
-        f"full {len(serial.snapshots)}-snapshot run (default scale 0.02, {cores} core(s)): "
-        f"jobs=1 {serial_seconds:.2f}s vs jobs=4 {parallel_seconds:.2f}s "
-        f"→ {speedup:.2f}x wall-clock; outputs bit-identical\n"
-        f"{speedup_note}\n"
+        f"{store['match_work']['subset_tests_reused']} reused\n"
         f"§4.1 validation cache: {cache.static_hits + cache.window_hits} hits / "
         f"{cache.static_misses + cache.window_misses} misses "
-        f"({cache.hit_rate:.1%} hit rate)\n"
-        f"serial stage totals: {stage_report}\n"
-        "raw run reports: output/raw/perf_run_report_{serial,parallel}.json",
-    )
-    write_summary(
-        "perf_parallel_summary",
-        {
-            "serial_seconds": round(serial_seconds, 3),
-            "parallel_seconds": round(parallel_seconds, 3),
-            "speedup": round(speedup, 2),
-            "affinity_cores": cores,
-            "speedup_bar": "enforced" if cores >= 2 else "skipped: single-core host",
-        },
-    )
-    assert cache.hit_rate > 0.5, "cross-snapshot cert reuse should dominate"
-    if cores >= 2:
-        # The acceptance bar. On a single-core host a process pool cannot
-        # beat serial wall-clock, so the bar only applies with real cores
-        # (the downgrade is recorded in the summary, never silent).
-        assert speedup >= 1.5, f"jobs=4 speedup {speedup:.2f}x < 1.5x on {cores} cores"
-
-
-def test_warm_cache_speedup(tmp_path):
-    """The stage-artifact cache's headline number: re-running the full
-    pipeline against a populated ``--cache-dir`` replays the cached
-    terminal artifacts instead of recomputing §4, with the warm report's
-    ``stage_cache`` section recording the per-stage hit/miss traffic and
-    the deterministic view byte-identical to the cold run's."""
-    world = build_world(seed=7, scale=0.02)
-    cache_dir = str(tmp_path / "stage-cache")
-
-    cold_pipeline = OffnetPipeline(world, PipelineOptions(cache_dir=cache_dir))
-    cold_pipeline.header_rules()
-    start = time.perf_counter()
-    cold = cold_pipeline.run()
-    cold_seconds = time.perf_counter() - start
-
-    # A fresh pipeline instance: its in-memory tier starts empty, so every
-    # hit below comes off the on-disk cache — the --resume path.
-    warm_pipeline = OffnetPipeline(world, PipelineOptions(cache_dir=cache_dir))
-    warm_pipeline.header_rules()
-    start = time.perf_counter()
-    warm = warm_pipeline.run()
-    warm_seconds = time.perf_counter() - start
-
-    cold_report, warm_report = cold.report(), warm.report()
-    assert deterministic_view(cold_report) == deterministic_view(warm_report)
-
-    stage_cache = warm_report["stage_cache"]
-    assert stage_cache["hits"] > 0, "warm run reused no stage artifacts"
-    assert stage_cache["misses"] == 0, "warm run should be fully cached"
-    assert stage_cache["hit_rate"] == 1.0
-    speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
-
-    write_raw_report(warm_report, "perf_warm_cache_report.json")
-    summary = summarize_report(warm_report)
-    summary["cold_seconds"] = round(cold_seconds, 3)
-    summary["warm_seconds"] = round(warm_seconds, 3)
-    summary["warm_speedup"] = round(speedup, 2)
-    write_summary("perf_warm_cache_summary", summary)
-
-    per_stage = ", ".join(
-        f"{stage} {events.get('hit', 0)}h/{events.get('miss', 0)}m"
-        for stage, events in sorted(stage_cache["stages"].items())
-    )
-    write_output(
-        "perf_warm_cache",
-        f"stage-artifact cache over {len(warm.snapshots)} snapshots: "
-        f"cold {cold_seconds:.2f}s vs warm {warm_seconds:.2f}s "
-        f"→ {speedup:.1f}x; outputs bit-identical\n"
-        f"warm stage cache: {stage_cache['hits']} hits / "
-        f"{stage_cache['misses']} misses (hit rate {stage_cache['hit_rate']:.0%})\n"
-        f"per stage: {per_stage}",
-    )
-    assert speedup > 2.0, f"warm re-run only {speedup:.2f}x faster than cold"
-
-
-def _cold_corpus_read_seconds(directory) -> float:
-    """Wall-clock to parse every corpus snapshot in ``directory`` once.
-
-    A fresh :class:`FileDataset` per call (empty scan cache, empty chain
-    pool); loaded snapshots are not held, so the measurement is the
-    format's parse cost, not allocator pressure from keeping 31 stores
-    alive."""
-    from repro.datasets import FileDataset
-
-    dataset = FileDataset(directory)
-    start = time.perf_counter()
-    for snapshot in dataset.snapshots:
-        dataset.scan("rapid7", snapshot)
-    return time.perf_counter() - start
-
-
-def test_columnar_vs_jsonl_cold_ingest(tmp_path):
-    """The corpus-format tentpole, measured: a cold ingest of the packed
-    binary columnar (``.rcc``) dataset versus the same dataset as JSONL,
-    plus the guarantee that the *output* is indifferent to the format —
-    funnel and ingest report sections bit-identical across jobs=1/2 and
-    stage-cache off/cold/warm.
-
-    The headline ratio gates in CI at >=5x (tools/check_perf_gate.py
-    consumes ``perf_columnar_summary.json``); the full-run ratio is also
-    published but not gated — past the ingest stage both runs execute the
-    identical §4 pipeline, so Amdahl caps it well below the ingest ratio.
-    """
-    from repro.datasets import FileDataset, export_dataset
-
-    world = build_world(seed=7, scale=0.02)
-    jsonl_dir = tmp_path / "ds-jsonl"
-    columnar_dir = tmp_path / "ds-columnar"
-    export_dataset(world, jsonl_dir, corpus_format="jsonl")
-    export_dataset(world, columnar_dir, corpus_format="columnar")
-    del world
-
-    # -- cold ingest: parse every snapshot once, per format -----------------
-    jsonl_ingest = _cold_corpus_read_seconds(jsonl_dir)
-    columnar_ingest = _cold_corpus_read_seconds(columnar_dir)
-    ingest_speedup = jsonl_ingest / columnar_ingest
-
-    # -- cold full run: the end-to-end wall-clock, per format ---------------
-    start = time.perf_counter()
-    jsonl_result = OffnetPipeline(FileDataset(jsonl_dir)).run()
-    jsonl_run = time.perf_counter() - start
-    start = time.perf_counter()
-    columnar_result = OffnetPipeline(FileDataset(columnar_dir)).run()
-    columnar_run = time.perf_counter() - start
-    run_speedup = jsonl_run / columnar_run
-
-    jsonl_report = jsonl_result.report()
-    columnar_report = columnar_result.report()
-    assert jsonl_report["funnel"] == columnar_report["funnel"]
-    assert jsonl_report["ingest"] == columnar_report["ingest"]
-    del jsonl_result, columnar_result
-
-    # -- format indifference across executors and cache states -------------
-    # Every configuration must produce funnel + ingest sections that are
-    # bit-identical between the two formats.
-    parity: dict[str, bool] = {}
-    for label, options_for in (
-        ("jobs=1", lambda d: PipelineOptions(jobs=1)),
-        ("jobs=2", lambda d: PipelineOptions(jobs=2)),
-        ("cache=cold", lambda d: PipelineOptions(cache_dir=str(tmp_path / f"c-{d.name}"))),
-        ("cache=warm", lambda d: PipelineOptions(cache_dir=str(tmp_path / f"c-{d.name}"))),
-    ):
-        reports = {}
-        for directory in (jsonl_dir, columnar_dir):
-            result = OffnetPipeline(
-                FileDataset(directory), options_for(directory)
-            ).run()
-            report = result.report()
-            reports[directory.name] = (report["funnel"], report["ingest"])
-        parity[label] = reports["ds-jsonl"] == reports["ds-columnar"]
-    assert all(parity.values()), f"format parity broke: {parity}"
-
-    jsonl_bytes = sum(
-        f.stat().st_size for f in (jsonl_dir / "corpora").rglob("*.jsonl")
-    )
-    columnar_bytes = sum(
-        f.stat().st_size for f in (columnar_dir / "corpora").rglob("*.rcc")
-    )
-    write_summary(
-        "perf_columnar_summary",
-        {
-            "jsonl_ingest_seconds": round(jsonl_ingest, 3),
-            "columnar_ingest_seconds": round(columnar_ingest, 3),
-            "ingest_speedup": round(ingest_speedup, 2),
-            "jsonl_run_seconds": round(jsonl_run, 3),
-            "columnar_run_seconds": round(columnar_run, 3),
-            "run_speedup": round(run_speedup, 2),
-            "jsonl_corpus_bytes": jsonl_bytes,
-            "columnar_corpus_bytes": columnar_bytes,
-            "size_ratio": round(jsonl_bytes / columnar_bytes, 2),
-            "parity": parity,
-        },
-    )
-    write_output(
-        "perf_columnar",
-        f"cold corpus ingest, 31 snapshots (scale 0.02): "
-        f"jsonl {jsonl_ingest:.2f}s vs columnar {columnar_ingest:.2f}s "
-        f"→ {ingest_speedup:.1f}x\n"
-        f"cold full run: jsonl {jsonl_run:.2f}s vs columnar {columnar_run:.2f}s "
-        f"→ {run_speedup:.1f}x (common §4 stages cap this per Amdahl)\n"
-        f"on-disk: jsonl {jsonl_bytes / 1e6:.1f} MB vs columnar "
-        f"{columnar_bytes / 1e6:.1f} MB "
-        f"({jsonl_bytes / columnar_bytes:.1f}x smaller)\n"
-        f"funnel + ingest sections bit-identical across formats for "
-        f"jobs=1/2 and cache off/cold/warm",
-    )
-    assert ingest_speedup >= 5.0, (
-        f"columnar cold ingest only {ingest_speedup:.2f}x faster than JSONL"
+        f"({cache.hit_rate:.1%} hit rate)",
     )

@@ -33,8 +33,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from benchmarks.bench_pipeline_perf import write_summary
-from benchmarks.conftest import write_output
+from benchmarks.conftest import OUTPUT_DIR, write_output
 from repro.core import OffnetPipeline, PipelineOptions
 from repro.datasets import FileDataset, export_dataset, export_snapshot
 from repro.serve import ServeDaemon, query_server
@@ -195,7 +194,10 @@ def test_serve_load(tmp_path):
                 "not comparable across hosts; the CI gate skips the "
                 "wall-clock bars on this summary"
             )
-        write_summary("perf_serve_summary", summary)
+        OUTPUT_DIR.mkdir(exist_ok=True)
+        (OUTPUT_DIR / "perf_serve_summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        )
 
         lines = [
             f"{len(samples)} queries from {CLIENTS} clients "

@@ -434,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="OUT.json",
-        help="assess verb: also write the repro.realism-report/1 JSON "
-        "(what CI's realism gate consumes)",
+        help="assess verb: also write the repro.realism-report/1 JSON",
     )
 
     query = sub.add_parser(

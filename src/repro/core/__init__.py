@@ -39,8 +39,8 @@ footprints.
 Every stage is instrumented through :mod:`repro.obs`: the pure phase
 books stage timings and funnel counters into a per-snapshot metrics
 registry, the merge barrier folds the registries in snapshot order, and
-``PipelineResult.report()`` emits the versioned JSON run report the CI
-bench gate diffs across executors.
+``PipelineResult.report()`` emits the versioned JSON run report
+``tools/check_report.py`` diffs across executors.
 """
 
 from repro.core.candidates import find_candidates

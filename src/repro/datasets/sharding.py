@@ -3,8 +3,8 @@
 The parallel path used to fan out one pool task *per snapshot*: 31 tasks
 for a full run, each paying a pickle round-trip for its outcome, with
 every forked worker inheriting the parent's whole warm corpus state by
-copy-on-write.  At small per-snapshot cost the overhead dominated —
-``perf_parallel_speedup.txt`` once recorded ``jobs=4`` at 0.67x serial.
+copy-on-write.  At small per-snapshot cost the overhead dominated: a
+full run once measured ``jobs=4`` at 0.67x serial.
 
 A *shard* is the fix: a contiguous group of snapshots, in snapshot
 order, that one worker task ingests and runs end to end.  The executor

@@ -24,7 +24,9 @@ IP groups sharing certificates.  The book covers:
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator
 
 from repro.hypergiants.profiles import HypergiantProfile, profile
 from repro.timeline import NETFLIX_EXPIRED_ERA, Snapshot
@@ -51,12 +53,17 @@ class CertificateBook:
         self,
         issuers: dict[str, CertificateAuthority],
         seed: int = 0,
+        serials: Iterator[int] | None = None,
     ) -> None:
+        """``serials`` numbers the book's own certificates — its rogue
+        root's and the self-signed leaves'; the world passes the counter
+        its WebPKI draws from, so one world issues from one counter."""
         if not issuers:
             raise ValueError("need at least one issuing authority")
         self._issuer_names = sorted(issuers)
         self._issuers = issuers
         self._seed = seed
+        self._serials = itertools.count(1) if serials is None else serials
         self._chain_cache: dict[tuple, CertificateChain] = {}
         # Issuance inputs, memoised: an issuer per label, a validity window
         # per (hypergiant, snapshot) and one Snapshot per validity bound
@@ -70,6 +77,7 @@ class CertificateBook:
             "Rogue Self-Managed CA",
             Snapshot(2000, 1),
             Snapshot(2040, 1),
+            serials=self._serials,
         )
 
     # -- issuer selection ----------------------------------------------------
@@ -398,6 +406,7 @@ class CertificateBook:
             leaf = make_self_signed(
                 subject, names, self._month(year), self._month(year, 120),
                 provenance=f"bg-selfsigned:{site_id}",
+                serials=self._serials,
             )
             chain = CertificateChain((leaf,))
         elif invalid_mode == "expired":

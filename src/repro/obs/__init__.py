@@ -9,7 +9,7 @@ The subsystem has three deliberately small layers:
   spans that feed the ``stage_seconds`` histogram;
 * :mod:`repro.obs.report` — the versioned JSON run report
   (``repro.run-report/1``) every pipeline run can emit, and its
-  deterministic view the CI bench gate compares across executors.
+  deterministic view ``tools/check_report.py`` compares across executors.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -17,8 +17,7 @@ Everything here is dependency-free and picklable on purpose:
 * serialisation (:meth:`~MetricsRegistry.to_dict` /
   :meth:`~MetricsRegistry.from_dict`) sorts every key, so two registries
   holding the same values produce byte-identical JSON no matter the
-  insertion order — the property the run-report comparator and the CI
-  bench gate lean on.
+  insertion order — the property the run-report comparator leans on.
 
 Metrics are identified by a name plus a sorted label set
 (``registry.counter("funnel_candidates", hg="google")``), Prometheus

@@ -24,8 +24,8 @@ A run report is the pipeline's flight recorder, built from the merged
   event-free worlds);
 * ``cache`` — the §4.1 cross-snapshot validation-cache counters;
 * ``stage_cache`` — the stage-artifact cache's hit/miss/store counters,
-  total and per stage (the warm-run CI gate asserts a nonzero hit ratio
-  here);
+  total and per stage (``tools/check_report.py --expect-cache-hits``
+  asserts a nonzero hit ratio here);
 * ``executor`` — how the run was mapped (jobs, workers, fallbacks);
 * ``metrics`` — the full registry dump, for anything the sections above
   did not pre-digest.
@@ -35,8 +35,7 @@ snapshots, options, funnel) — identical for ``jobs=1`` and ``jobs=N``
 runs of the same world, byte for byte — and environmental sections
 (stages, cache, executor, metrics) that legitimately vary with hardware,
 process count and scheduling.  ``tools/check_report.py`` compares the
-deterministic views exactly and the stage times against a threshold;
-the CI bench gate runs exactly that comparison.
+deterministic views exactly.
 """
 
 from __future__ import annotations

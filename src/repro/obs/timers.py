@@ -9,9 +9,9 @@ pipeline::
 Each span records its wall-clock seconds into the ``stage_seconds``
 histogram labelled with the stage name (count = invocations, sum = total
 seconds), which is exactly the shape the run report's per-stage table
-and the CI regression gate consume.  Timings are inherently
-non-deterministic, so they live in histograms the report keeps *outside*
-its deterministic view — see :mod:`repro.obs.report`.
+consumes.  Timings are inherently non-deterministic, so they live in
+histograms the report keeps *outside* its deterministic view — see
+:mod:`repro.obs.report`.
 """
 
 from __future__ import annotations

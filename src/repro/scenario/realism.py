@@ -2,8 +2,9 @@
 
 The scenario engine can build arbitrarily skewed worlds on purpose; this
 module measures how far any world sits from the distributions the paper
-anchors its findings to, so CI can assert the default world stays inside
-paper-plausible bands while a deliberately skewed world is flagged.
+anchors its findings to, so the test suite can assert the default world
+stays inside paper-plausible bands while a deliberately skewed world is
+flagged.
 
 Seven metrics, each a pure function of the built topology and the
 ground-truth deployment plan (no pipeline run needed):
@@ -29,8 +30,8 @@ ground-truth deployment plan (no pipeline run needed):
     Akamai's decline from its peak footprint (Fig. 3: Akamai peaks
     mid-study and consolidates ~25% by 2021).
 
-The report is versioned JSON (schema :data:`REALISM_SCHEMA`) consumed by
-``tools/check_perf_gate.py --expect-realism``.
+The report is versioned JSON (schema :data:`REALISM_SCHEMA`), written by
+``tools/assess_realism.py --out``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ commit, so an in-flight ingest never blocks or corrupts a reader; the
 new view becomes visible atomically at commit.  Because the §6.2
 restoration fold runs at commit over the whole ordered timeline, an
 incrementally-grown index answers every query bit-identically to a
-fresh batch run — the serve drill in CI asserts exactly that.
+fresh batch run — the serve drill in ``tests/serve`` asserts exactly
+that.
 """
 
 from repro.serve.client import query_server, server_url

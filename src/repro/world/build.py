@@ -6,6 +6,7 @@ downstream (scanners, pipeline, validation) either observes or infers it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from repro.hypergiants.certs import CertificateBook
 from repro.hypergiants.deployment import DeploymentEngine, DeploymentPlan
@@ -147,8 +148,11 @@ def build_world_parts(config: WorldConfig) -> WorldParts:
         )
     )
 
-    root_store, issuers = build_web_pki()
-    cert_book = CertificateBook(issuers, seed=config.seed)
+    # One serial counter per world: the same config issues the same
+    # certificates, whatever else the process issued before.
+    serials = itertools.count(1)
+    root_store, issuers = build_web_pki(serials=serials)
+    cert_book = CertificateBook(issuers, seed=config.seed, serials=serials)
     header_book = HeaderBook(seed=config.seed)
 
     hg_onnet_ases = _add_hypergiant_ases(topology, rng, config.hypergiant_roster)

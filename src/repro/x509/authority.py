@@ -12,20 +12,25 @@ Forged certificates (e.g. a DV certificate with "Google LLC" in the
 Organization field, §4.2) are modelled simply by having a *different* CA sign
 them: they verify as WebPKI-valid but carry a misleading Organization, which
 is exactly the attack the dNSName-subset rule defends against.
+
+Serials come from a counter the caller owns: a root draws from the one it
+is created with (a fresh one by default) and its intermediates share it,
+so a world whose every authority and self-signed leaf draws from one
+counter issues the same serials, and therefore the same fingerprints,
+however many worlds the process built before it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.timeline import Snapshot
 from repro.x509.certificate import Certificate, SubjectName
 
 __all__ = ["KeyPair", "CertificateAuthority", "sign_digest"]
-
-_serial_counter = itertools.count(1)
 
 
 def sign_digest(private_key: str, message: str) -> str:
@@ -68,12 +73,14 @@ class CertificateAuthority:
     Roots are self-signed; intermediates carry the certificate their parent
     issued for them and a reference to the parent authority, so server
     chains can be assembled by walking up.  ``issue()`` produces end-entity
-    (or subordinate CA) certificates signed with this authority's key.
+    (or subordinate CA) certificates signed with this authority's key,
+    drawing their serials from ``serials``.
     """
 
     name: str
     key: KeyPair
     certificate: Certificate
+    serials: Iterator[int] = field(repr=False, compare=False)
     parent: "CertificateAuthority | None" = None
 
     @property
@@ -95,8 +102,14 @@ class CertificateAuthority:
         name: str,
         not_before: Snapshot,
         not_after: Snapshot,
+        serials: Iterator[int] | None = None,
     ) -> "CertificateAuthority":
-        """Create a self-signed root CA valid over the given window."""
+        """Create a self-signed root CA valid over the given window.
+
+        The root and everything it (or its intermediates) issues draw
+        serials from ``serials``; without one it gets its own counter.
+        """
+        serials = itertools.count(1) if serials is None else serials
         key = KeyPair.generate(f"root:{name}")
         subject = SubjectName(common_name=name, organization=name)
         certificate = _build_signed(
@@ -110,8 +123,9 @@ class CertificateAuthority:
             authority_key_id=key.public_key,
             signing_key=key,
             provenance=f"root-ca:{name}",
+            serial=next(serials),
         )
-        return cls(name=name, key=key, certificate=certificate, parent=None)
+        return cls(name=name, key=key, certificate=certificate, serials=serials)
 
     def create_intermediate(
         self,
@@ -132,8 +146,11 @@ class CertificateAuthority:
             authority_key_id=self.key.public_key,
             signing_key=self.key,
             provenance=f"intermediate-ca:{name}",
+            serial=next(self.serials),
         )
-        return CertificateAuthority(name=name, key=key, certificate=certificate, parent=self)
+        return CertificateAuthority(
+            name=name, key=key, certificate=certificate, parent=self, serials=self.serials
+        )
 
     def issue(
         self,
@@ -146,7 +163,7 @@ class CertificateAuthority:
     ) -> Certificate:
         """Issue a certificate signed by this authority's key."""
         subject_key = KeyPair.generate(
-            f"ee:{subject}:{','.join(dns_names)}:{not_before.label}:{next(_serial_counter)}"
+            f"ee:{subject}:{','.join(dns_names)}:{not_before.label}:{next(self.serials)}"
         )
         return _build_signed(
             subject=subject,
@@ -159,6 +176,7 @@ class CertificateAuthority:
             authority_key_id=self.key.public_key,
             signing_key=self.key,
             provenance=provenance,
+            serial=next(self.serials),
         )
 
 
@@ -173,8 +191,8 @@ def _build_signed(
     authority_key_id: str,
     signing_key: KeyPair,
     provenance: str,
+    serial: int,
 ) -> Certificate:
-    serial = next(_serial_counter)
     unsigned = Certificate(
         fingerprint="",
         subject=subject,
@@ -213,8 +231,10 @@ def make_self_signed(
     not_before: Snapshot,
     not_after: Snapshot,
     provenance: str = "self-signed",
+    serials: Iterator[int] | None = None,
 ) -> Certificate:
-    """Create a self-signed end-entity certificate (rejected by §4.1)."""
+    """Create a self-signed end-entity certificate (rejected by §4.1),
+    its serial drawn from ``serials`` (serial 1 without one)."""
     key = KeyPair.generate(f"selfsigned:{subject}:{','.join(dns_names)}:{not_before.label}")
     return _build_signed(
         subject=subject,
@@ -227,4 +247,5 @@ def make_self_signed(
         authority_key_id=key.public_key,
         signing_key=key,
         provenance=provenance,
+        serial=next(serials) if serials is not None else 1,
     )

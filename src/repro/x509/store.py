@@ -10,7 +10,9 @@ from a small set of public CAs (DigiCert, GlobalSign, Let's Encrypt, ...).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.timeline import STUDY_END, STUDY_START, Snapshot
 from repro.x509.authority import CertificateAuthority
@@ -71,6 +73,7 @@ def build_web_pki(
     not_before: Snapshot = STUDY_START.plus_months(-60),
     not_after: Snapshot = STUDY_END.plus_months(120),
     intermediates_per_root: int = 2,
+    serials: Iterator[int] | None = None,
 ) -> tuple[RootStore, dict[str, CertificateAuthority]]:
     """Create the synthetic WebPKI.
 
@@ -78,12 +81,17 @@ def build_web_pki(
     authorities are the *intermediates* (as in the real WebPKI, roots rarely
     sign end-entity certificates directly); they are named
     ``"<root name> / Intermediate <n>"`` and all of them — and their roots —
-    are anchored in the store.
+    are anchored in the store.  Every authority, and every certificate
+    they issue, draws its serial from ``serials`` (a fresh counter by
+    default).
     """
+    serials = itertools.count(1) if serials is None else serials
     store = RootStore()
     issuers: dict[str, CertificateAuthority] = {}
     for root_name in WEB_PKI_ROOT_NAMES:
-        root = CertificateAuthority.create_root(root_name, not_before, not_after)
+        root = CertificateAuthority.create_root(
+            root_name, not_before, not_after, serials=serials
+        )
         store.add_authority(root)
         for index in range(1, intermediates_per_root + 1):
             name = f"{root_name} / Intermediate {index}"

@@ -232,9 +232,10 @@ class TestShardedExecution:
         sharded = OffnetPipeline(
             FileDataset(directory), PipelineOptions(jobs=4)
         ).run()
-        assert deterministic_view(serial.report()) == deterministic_view(
-            sharded.report()
-        )
+        serial_report, sharded_report = serial.report(), sharded.report()
+        assert deterministic_view(serial_report) == deterministic_view(sharded_report)
+        for section in ("store", "ingest"):
+            assert serial_report[section] == sharded_report[section], section
         plan = sharded.run_meta["executor"]["shard_plan"]
         assert all(row["cost"] > 0 for row in plan)
 
@@ -290,6 +291,7 @@ class TestShardedExecution:
         assert any(flags["ingest"] for flags in hits_before.values())
         sharded = resumed.run()
         serial = OffnetPipeline(FileDataset(directory)).run()
-        assert deterministic_view(serial.report()) == deterministic_view(
-            sharded.report()
-        )
+        serial_report, sharded_report = serial.report(), sharded.report()
+        assert deterministic_view(serial_report) == deterministic_view(sharded_report)
+        for section in ("store", "ingest"):
+            assert serial_report[section] == sharded_report[section], section

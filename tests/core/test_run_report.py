@@ -107,9 +107,12 @@ class TestCrossExecutorDeterminism:
 
 class TestCLIReport:
     def test_run_report_flag_with_parallel_jobs(self, tmp_path, capsys):
-        """`python -m repro run --jobs 2 --report out.json` — the
-        acceptance-criteria invocation, scaled down for test time."""
+        """`python -m repro run --jobs 2 --cache-dir D --report out.json`,
+        scaled down for test time, then `run --cache-dir D --resume
+        --report`: the resumed run reports the cold funnel and reuses
+        the cold run's artifacts."""
         out = tmp_path / "run.json"
+        cache_dir = str(tmp_path / "stage-cache")
         assert (
             main(
                 [
@@ -118,6 +121,8 @@ class TestCLIReport:
                     "0.008",
                     "--jobs",
                     "2",
+                    "--cache-dir",
+                    cache_dir,
                     "--report",
                     str(out),
                 ]
@@ -128,3 +133,23 @@ class TestCLIReport:
         report = load_report(out)
         assert validate_report(report) == []
         assert report["executor"]["jobs"] == 2
+
+        resumed = tmp_path / "resumed.json"
+        assert (
+            main(
+                [
+                    "run",
+                    "--scale",
+                    "0.008",
+                    "--cache-dir",
+                    cache_dir,
+                    "--resume",
+                    "--report",
+                    str(resumed),
+                ]
+            )
+            == 0
+        )
+        total = len(report["snapshots"])
+        assert f"resume: {total}/{total} snapshots fully cached" in capsys.readouterr().out
+        assert compare_reports(report, load_report(resumed), expect_cache_hits=True) == []

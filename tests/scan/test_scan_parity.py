@@ -8,19 +8,16 @@ below is the per-row loop they replaced: every reached server asks
 afresh, and every row goes through ``add_tls``/``add_http``; its
 exclusion set is rebuilt and reshuffled per snapshot.
 
-Chains are issued lazily, and every issued certificate draws its serial
-from one process-wide counter, so a memo that skipped or reordered a
-first issuance would shift serials and fingerprints.  Each comparison
-therefore runs on twin worlds built from one config, each drawing
-serials from its own counter that starts at the same value: equal stores
-— every column, intern table, and each chain certificate's fingerprint,
-serial and provenance — mean equal issuance order too.
+Chains are issued lazily, and every certificate a world issues draws its
+serial from that world's one counter, so a memo that skipped or reordered
+a first issuance would shift serials and fingerprints.  Each comparison
+therefore runs on two worlds built from one config: equal stores — every
+column, intern table, and each chain certificate's fingerprint, serial
+and provenance — mean equal issuance order too.
 """
 
-import itertools
 import random
 import zlib
-from contextlib import contextmanager
 
 import pytest
 
@@ -31,11 +28,8 @@ from repro.store import SnapshotStore
 from repro.timeline import STUDY_SNAPSHOTS, Snapshot
 from repro.world import build_world
 from repro.world.config import WorldConfig
-from repro.x509 import authority
 
 LATE = tuple(s for s in STUDY_SNAPSHOTS if s >= Snapshot(2019, 10))
-#: Far above any serial the other tests' worlds draw.
-_SERIAL_BASE = 1 << 40
 
 #: The default world: all three scanners and the IPv6 hitlist over the
 #: whole timeline, then out-of-order and repeated scans.
@@ -88,24 +82,6 @@ CONFIGS = {
         for strategy in WorldConfig._KNOWN_EVASIONS
     },
 }
-
-
-class Twin:
-    """One world plus the serial counter every issuance for it draws on."""
-
-    def __init__(self, config: WorldConfig) -> None:
-        self._counter = itertools.count(_SERIAL_BASE)
-        with self.serials():
-            self.world = build_world(config=config)
-
-    @contextmanager
-    def serials(self):
-        saved = authority._serial_counter
-        authority._serial_counter = self._counter
-        try:
-            yield
-        finally:
-            authority._serial_counter = saved
 
 
 def reference_excluded_blocks(profile, seed, universe, snapshot):
@@ -208,22 +184,20 @@ def store_dump(store: SnapshotStore) -> dict:
 
 
 def plan_dumps(config, plan, memoised: bool) -> list[dict]:
-    twin = Twin(config)
-    world = twin.world
+    world = build_world(config=config)
     dumps = []
-    with twin.serials():
-        for name, snapshot in plan:
-            if name == "ipv6":
-                store = (
-                    world.ipv6_scan(snapshot).store
-                    if memoised
-                    else reference_ipv6_scan(world, snapshot)
-                )
-            elif memoised:
-                store = world.scanner(name).scan(world, snapshot).store
-            else:
-                store = reference_scan(world, name, snapshot)
-            dumps.append(store_dump(store))
+    for name, snapshot in plan:
+        if name == "ipv6":
+            store = (
+                world.ipv6_scan(snapshot).store
+                if memoised
+                else reference_ipv6_scan(world, snapshot)
+            )
+        elif memoised:
+            store = world.scanner(name).scan(world, snapshot).store
+        else:
+            store = reference_scan(world, name, snapshot)
+        dumps.append(store_dump(store))
     return dumps
 
 
@@ -239,6 +213,23 @@ class TestScanParity:
         assert scanned == {name for name, _ in plan}
         for (name, snapshot), expected, got in zip(plan, reference, memoised):
             assert got == expected, (case, name, snapshot.label)
+
+
+class TestSerialsPerWorld:
+    def test_two_builds_of_one_config_issue_identical_certificates(self):
+        """A world is determined by its config: the second build in a
+        process issues the first one's certificates, down to every
+        anchor's and every chain certificate's fingerprint and serial."""
+        config = WorldConfig(seed=5, scale=0.004)
+        snapshot = Snapshot(2020, 10)
+        dumps = []
+        for _ in range(2):
+            world = build_world(config=config)
+            store = world.scanner("rapid7").scan(world, snapshot).store
+            anchors = [(cert.fingerprint, cert.serial) for cert in world.root_store.anchors()]
+            dumps.append((anchors, store_dump(store)))
+        assert dumps[0][1]["chains"]
+        assert dumps[0] == dumps[1]
 
 
 class TestEpochContract:

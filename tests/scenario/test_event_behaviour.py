@@ -2,8 +2,7 @@
 
 Worlds are built once per module at a small scale; every comparison with
 the default (event-free) world goes through ground-truth plan accessors
-or registry-passing scans, never cross-world certificate fingerprints
-(serials are process-global, so issuance order differs between worlds).
+or registry-passing scans, never cross-world certificate fingerprints.
 """
 
 import pytest

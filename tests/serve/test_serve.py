@@ -1,9 +1,9 @@
 """The serve layer, end to end: delta ingestion, the daemon, the drill.
 
-The drill mirrors the CI ``serve-gate`` job: start a daemon over an
-exported dataset, query a baseline, drop **two** new snapshots into the
-directory — one clean, one with malformed records (quarantined under the
-PR-5 lenient policy) — and assert that
+The drill starts a daemon over an exported dataset, queries a baseline,
+drops **two** new snapshots into the directory — one clean, one with
+malformed records (quarantined under the lenient policy) — and asserts
+that
 
 * only the two new snapshots are (re)analysed: everything already
   indexed is *skipped*, proven by the ``serve_ingest_events`` counters;
@@ -13,6 +13,7 @@ PR-5 lenient policy) — and assert that
 
 import http.client
 import json
+import shutil
 import statistics
 import threading
 import time
@@ -76,6 +77,17 @@ def daemon(dataset, tmp_path_factory):
     daemon.quarantine_dir = quarantine
     yield daemon
     daemon.stop()
+
+
+def land_drop(world, dataset, directory):
+    """Land the two held-out snapshots in ``directory``: the clean one,
+    then the faulty one with a truncated record and a garbage line
+    appended to its corpus file."""
+    export_snapshot(world, directory, dataset["clean"])
+    faulty_path = export_snapshot(world, directory, dataset["faulty"])
+    with faulty_path.open("a", encoding="utf-8") as handle:
+        handle.write('{"ip": "203.0.113.9", "truncated\n')
+        handle.write("utter garbage, not even json\n")
 
 
 def events(registry_dict: dict) -> dict[str, int]:
@@ -183,17 +195,13 @@ class TestBaseline:
 
 
 class TestDrill:
-    """The serve-gate drill proper.  Ordered within the class: the drop
+    """The drill proper.  Ordered within the class: the drop
     happens once and later tests assert on the resulting state."""
 
     def test_drop_two_snapshots_ingests_only_the_delta(
         self, daemon, dataset, serve_world
     ):
-        export_snapshot(serve_world, dataset["dir"], dataset["clean"])
-        faulty_path = export_snapshot(serve_world, dataset["dir"], dataset["faulty"])
-        with faulty_path.open("a", encoding="utf-8") as handle:
-            handle.write('{"ip": "203.0.113.9", "truncated\n')
-            handle.write("utter garbage, not even json\n")
+        land_drop(serve_world, dataset, dataset["dir"])
 
         queries_during_ingest = []
         stop = threading.Event()
@@ -272,11 +280,20 @@ class TestDrill:
 
 
 class TestStrictFailureIsolation:
+    @pytest.fixture(scope="class")
+    def directory(self, serve_world, dataset, tmp_path_factory):
+        """This class's own copy of the dataset, both held-out snapshots
+        landed, whether or not the drill has run."""
+        directory = tmp_path_factory.mktemp("strict-data") / "dataset"
+        shutil.copytree(dataset["dir"], directory)
+        land_drop(serve_world, dataset, directory)
+        return directory
+
     @pytest.fixture
-    def ingestor(self, dataset, tmp_path):
-        """A strict-policy ingestor over the dataset, faulty snapshot included."""
+    def ingestor(self, dataset, directory, tmp_path):
+        """A strict-policy ingestor over the copy, faulty snapshot included."""
         options = PipelineOptions(header_learning_snapshot=dataset["baseline"][-1])
-        return DeltaIngestor(dataset["dir"], tmp_path / "strict-state", options=options)
+        return DeltaIngestor(directory, tmp_path / "strict-state", options=options)
 
     def test_a_snapshot_that_refuses_to_parse_is_left_out(self, dataset, ingestor):
         """Under strict policy a faulty snapshot is reported as failed and

@@ -5,6 +5,8 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.report import load_report, validate_report
+from tools.check_report import compare_reports
 
 
 class TestParser:
@@ -157,6 +159,25 @@ def test_serve_once_is_a_delta_pass(tmp_path, capsys):
     assert "ingested 0" in out and "skipped 2 unchanged" in out
 
 
+def test_scenario_run_books_the_event_schedule(tmp_path, capsys):
+    """`scenario run --report`: the report's scenario section books the
+    spec's mid-timeline schedule and what it withdrew.  0.003 is the
+    smallest scale a world accepts, and it still withdraws off-nets."""
+    out = tmp_path / "scenario.json"
+    assert main([
+        "scenario", "run", "--name", "netflix-withdrawal", "--scale", "0.003",
+        "--report", str(out),
+    ]) == 0
+    assert "netflix-withdrawal" in capsys.readouterr().out
+    report = load_report(out)
+    assert validate_report(report) == []
+    section = report["scenario"]
+    assert section["name"] == "netflix-withdrawal"
+    assert [event["kind"] for event in section["events"]] == ["cache-withdrawal"]
+    assert section["event_counts"] == {"cache-withdrawal": 1}
+    assert section["withdrawn_as_snapshots"] > 0
+
+
 def test_query_needs_an_address(tmp_path, capsys):
     assert main(["query", "--endpoint", "status"]) == 2
     assert "--url or --state-dir" in capsys.readouterr().out
@@ -196,13 +217,18 @@ class TestConfirmFlags:
         assert main(["--scale", "0.01", "run", "--signals", "tls-stack"]) == 2
         assert "paper-default" in capsys.readouterr().out
 
-    def test_multi_signal_run_executes(self, capsys):
+    def test_multi_signal_run_executes(self, tmp_path, capsys):
+        """Every configured signal books verdicts into the run report."""
+        out = tmp_path / "signals.json"
         assert main([
             "--scale", "0.01", "run",
             "--signals", "header,tls-stack,cert-names",
             "--confirm-policy", "require-2",
+            "--report", str(out),
         ]) == 0
         assert capsys.readouterr().out.strip()
+        report = load_report(out)
+        assert compare_reports(report, report, expect_signals=True) == []
 
     def test_help_lists_the_registries(self):
         """The flag help is built from the live registries, so a new

@@ -1,54 +1,14 @@
-"""Pass/fail paths of all three modes of the perf-summary gate.
+"""Pass/fail paths of the serve-load gate.
 
-Columnar mode holds the ingest-speedup and format-parity bars; scaling
-mode holds the shard-parity bar unconditionally and the parallel-beats-
-serial bar only on multi-core hosts; serve mode holds correctness
-(failures, parity, availability during ingest, the delta-only proof)
-unconditionally and the latency/qps bars only on multi-core hosts.  Any
-single-core downgrade must be loud in the output, never a silent pass.
+Serve mode holds correctness (failures, parity, availability during
+ingest, the delta-only proof) unconditionally and the latency/qps bars
+only on multi-core hosts.  The single-core downgrade must be loud in the
+output, never a silent pass.
 """
 
 import json
 
-from tools.check_perf_gate import (
-    build_parser,
-    check_realism_summary,
-    check_scaling_summary,
-    check_serve_summary,
-    check_signals_summary,
-    check_summary,
-    main,
-)
-
-
-def make_columnar_summary(ingest_speedup=8.0, parity_ok=True, cpu_count=4):
-    return {
-        "jsonl_ingest_seconds": 4.0,
-        "columnar_ingest_seconds": 0.5,
-        "ingest_speedup": ingest_speedup,
-        "run_speedup": 2.0,
-        "parity": {"funnel jobs=1": True, "ingest jobs=2": parity_ok},
-        "cpu_count": cpu_count,
-    }
-
-
-def make_scaling_summary(
-    cpu_count=4, parallel_seconds=1.0, parity_ok=True, kind="parallel-scaling"
-):
-    return {
-        "kind": kind,
-        "cpu_count": cpu_count,
-        "jobs": [1, 2],
-        "scales": [0.01],
-        "runs": {
-            "scale=0.01": {
-                "jobs=1": {"wall_seconds": 2.0},
-                "jobs=2": {"wall_seconds": parallel_seconds},
-            }
-        },
-        "speedups": {"scale=0.01": {"jobs=2": 2.0 / parallel_seconds}},
-        "parity": {"rcc jobs=2 cache=off": parity_ok},
-    }
+from tools.check_perf_gate import build_parser, check_serve_summary, main
 
 
 def make_serve_summary(
@@ -84,63 +44,6 @@ def make_serve_summary(
         },
         "parity": {"timeline": True, "google": parity_ok},
     }
-
-
-class TestColumnarMode:
-    def test_clean_summary_passes(self):
-        assert check_summary(make_columnar_summary(), 5.0) == []
-
-    def test_slow_ingest_fails(self):
-        problems = check_summary(make_columnar_summary(ingest_speedup=3.0), 5.0)
-        assert any("only 3.0x" in p for p in problems)
-
-    def test_broken_parity_fails(self):
-        problems = check_summary(make_columnar_summary(parity_ok=False), 5.0)
-        assert any("parity" in p and "ingest jobs=2" in p for p in problems)
-
-    def test_missing_key_fails_before_anything_else(self):
-        summary = make_columnar_summary()
-        del summary["cpu_count"]
-        problems = check_summary(summary, 5.0)
-        assert problems == ["summary is missing required key 'cpu_count'"]
-
-
-class TestScalingMode:
-    def test_clean_summary_passes(self):
-        assert check_scaling_summary(make_scaling_summary(), 0.05) == []
-
-    def test_wrong_kind_is_rejected(self):
-        problems = check_scaling_summary(
-            make_scaling_summary(kind="columnar"), 0.05
-        )
-        assert any("expected 'parallel-scaling'" in p for p in problems)
-
-    def test_parallel_slower_than_serial_fails(self):
-        problems = check_scaling_summary(
-            make_scaling_summary(parallel_seconds=2.5), 0.05
-        )
-        assert any("lost to serial" in p for p in problems)
-
-    def test_tolerance_absorbs_wall_clock_noise(self):
-        summary = make_scaling_summary(parallel_seconds=2.05)
-        assert any(check_scaling_summary(summary, 0.0))
-        assert check_scaling_summary(summary, 0.05) == []
-
-    def test_single_core_skips_wall_bar_not_parity(self):
-        # The bench could not have measured speedup on one core: the wall
-        # bar is waived...
-        slow = make_scaling_summary(cpu_count=1, parallel_seconds=10.0)
-        assert check_scaling_summary(slow, 0.05) == []
-        # ...but bit-identity needs no cores, so parity still gates.
-        broken = make_scaling_summary(cpu_count=1, parity_ok=False)
-        problems = check_scaling_summary(broken, 0.05)
-        assert any("not bit-identical" in p for p in problems)
-
-    def test_missing_baseline_run_fails(self):
-        summary = make_scaling_summary()
-        del summary["runs"]["scale=0.01"]["jobs=1"]
-        problems = check_scaling_summary(summary, 0.05)
-        assert any("no serial baseline" in p for p in problems)
 
 
 class TestServeMode:
@@ -211,240 +114,11 @@ class TestServeMode:
         assert problems == ["serve summary is missing required key 'qps'"]
 
 
-def _cell(confirmed, false_confirmations=0):
-    return {"confirmed": confirmed, "false_confirmations": false_confirmations}
-
-
-def make_signals_summary(
-    kind="signals-evasion",
-    parity_ok=True,
-    baseline_confirmed=0,
-    multi_confirmed=42,
-    false_confirmations=0,
-    control_confirmed=42,
-    adversarial=True,
-    control=True,
-):
-    scenarios = {}
-    if adversarial:
-        scenarios["strip-headers"] = {
-            "adversarial": True,
-            "truth_ases": 44,
-            "baseline": _cell(baseline_confirmed),
-            "multi": _cell(multi_confirmed, false_confirmations),
-        }
-    if control:
-        scenarios["(no evasion)"] = {
-            "adversarial": False,
-            "truth_ases": 44,
-            "baseline": _cell(control_confirmed),
-            "multi": _cell(control_confirmed),
-        }
-    return {
-        "kind": kind,
-        "cpu_count": 4,
-        "signals": ["header", "tls-stack", "cert-names"],
-        "policy": "require-2",
-        "scenarios": scenarios,
-        "parity": {"jobs=1": True, "cache=warm": parity_ok},
-    }
-
-
-class TestSignalsMode:
-    """The evasion-suite bars are all correctness bars: every one is
-    enforced unconditionally, even on single-core hosts."""
-
-    def test_clean_summary_passes(self):
-        assert check_signals_summary(make_signals_summary()) == []
-
-    def test_wrong_kind_is_rejected(self):
-        problems = check_signals_summary(make_signals_summary(kind="serve-load"))
-        assert len(problems) == 1
-        assert "signals-evasion" in problems[0]
-
-    def test_missing_required_keys_are_each_named(self):
-        summary = make_signals_summary()
-        del summary["policy"], summary["parity"]
-        problems = check_signals_summary(summary)
-        assert len(problems) == 2
-        assert any("'policy'" in p for p in problems)
-        assert any("'parity'" in p for p in problems)
-
-    def test_broken_parity_cell_fails(self):
-        problems = check_signals_summary(make_signals_summary(parity_ok=False))
-        assert any("parity broke" in p and "cache=warm" in p for p in problems)
-
-    def test_false_confirmations_fail_even_with_recall(self):
-        """Recall bought with ground-truth violations is a hard failure."""
-        problems = check_signals_summary(
-            make_signals_summary(multi_confirmed=44, false_confirmations=2)
-        )
-        assert any("outside world ground truth" in p for p in problems)
-
-    def test_unfooled_baseline_fails(self):
-        """An adversarial scenario the baseline still confirms through
-        exercises nothing — the bench world is broken."""
-        problems = check_signals_summary(
-            make_signals_summary(baseline_confirmed=44, multi_confirmed=44)
-        )
-        assert any("was not fooled" in p for p in problems)
-
-    def test_multi_must_out_confirm_the_fooled_baseline(self):
-        problems = check_signals_summary(
-            make_signals_summary(multi_confirmed=0)
-        )
-        assert any("did not out-confirm" in p for p in problems)
-
-    def test_multi_below_baseline_fails_anywhere(self):
-        summary = make_signals_summary()
-        summary["scenarios"]["(no evasion)"]["multi"] = _cell(10)
-        problems = check_signals_summary(summary)
-        assert any("multi-signal confirmed 10 < header-only" in p for p in problems)
-
-    def test_missing_adversarial_scenario_fails(self):
-        problems = check_signals_summary(make_signals_summary(adversarial=False))
-        assert any("no adversarial scenario" in p for p in problems)
-
-    def test_missing_control_scenario_fails(self):
-        problems = check_signals_summary(make_signals_summary(control=False))
-        assert any("no clean control" in p for p in problems)
-
-    def test_empty_control_fails(self):
-        problems = check_signals_summary(
-            make_signals_summary(control_confirmed=0)
-        )
-        assert any("confirmed nothing" in p for p in problems)
-
-    def test_missing_cell_keys_are_each_named(self):
-        summary = make_signals_summary()
-        del summary["scenarios"]["strip-headers"]["multi"]["false_confirmations"]
-        problems = check_signals_summary(summary)
-        assert any("multi.false_confirmations" in p for p in problems)
-
-    def test_no_scenarios_fails(self):
-        problems = check_signals_summary(
-            make_signals_summary(adversarial=False, control=False)
-        )
-        assert problems == ["summary records no evasion scenarios"]
-
-
-def _metric(name, value, band, ok):
-    return {
-        "name": name,
-        "value": value,
-        "expected": (band[0] + band[1]) / 2,
-        "band": list(band),
-        "ok": ok,
-        "paper_ref": "§6.3",
-    }
-
-
-def make_realism_report(flagged=0, schema="repro.realism-report/1", lie=False):
-    """A realism report with ``flagged`` of its three metrics out of band;
-    ``lie=True`` claims realistic despite the flags."""
-    metrics = [
-        _metric("stub_share", 0.85, (0.7, 0.93), True),
-        _metric("cone_mix_l1", 0.9 if flagged >= 1 else 0.02, (0.0, 0.15), flagged < 1),
-        _metric("region_mix_l1", 0.88 if flagged >= 2 else 0.11, (0.0, 0.18), flagged < 2),
-    ]
-    passed = sum(1 for metric in metrics if metric["ok"])
-    return {
-        "schema": schema,
-        "scenario": {"name": "paper-default", "seed": 7, "scale": 0.01, "events": []},
-        "metrics": metrics,
-        "passed": passed,
-        "total": len(metrics),
-        "score": round(passed / len(metrics), 4),
-        "realistic": True if lie else passed == len(metrics),
-    }
-
-
-class TestRealismMode:
-    def test_clean_report_passes(self):
-        assert check_realism_summary(make_realism_report()) == []
-
-    def test_missing_keys_are_each_named(self):
-        report = make_realism_report()
-        del report["score"], report["realistic"]
-        problems = check_realism_summary(report)
-        assert len(problems) == 2
-        assert any("'score'" in p for p in problems)
-        assert any("'realistic'" in p for p in problems)
-
-    def test_wrong_schema_is_rejected(self):
-        problems = check_realism_summary(
-            make_realism_report(schema="repro.run-report/1")
-        )
-        assert len(problems) == 1
-        assert "repro.realism-report/1" in problems[0]
-
-    def test_empty_metrics_fail(self):
-        report = make_realism_report()
-        report["metrics"] = []
-        assert check_realism_summary(report) == ["report scores no metrics at all"]
-
-    def test_metric_missing_keys_are_named(self):
-        report = make_realism_report()
-        del report["metrics"][0]["band"]
-        problems = check_realism_summary(report)
-        assert any("stub_share" in p and "'band'" in p for p in problems)
-
-    def test_inconsistent_arithmetic_fails(self):
-        report = make_realism_report()
-        report["passed"] = 99
-        problems = check_realism_summary(report)
-        assert any("arithmetic is inconsistent" in p for p in problems)
-
-    def test_flagged_metric_fails_the_default_gate(self):
-        problems = check_realism_summary(make_realism_report(flagged=1))
-        assert any("cone_mix_l1" in p and "outside its paper band" in p for p in problems)
-
-    def test_lying_verdict_is_called_out(self):
-        problems = check_realism_summary(make_realism_report(flagged=1, lie=True))
-        assert any("claims realistic=true" in p for p in problems)
-
-    def test_negative_control_must_be_flagged(self):
-        # The skewed world scoring realistic means the scorer is blind.
-        problems = check_realism_summary(
-            make_realism_report(), expect_unrealistic=True
-        )
-        assert any("cannot tell a skewed world" in p for p in problems)
-
-    def test_flagged_negative_control_passes(self):
-        assert (
-            check_realism_summary(
-                make_realism_report(flagged=2), expect_unrealistic=True
-            )
-            == []
-        )
-
-
 class TestMain:
     def _write(self, tmp_path, summary):
         path = tmp_path / "summary.json"
         path.write_text(json.dumps(summary), encoding="utf-8")
         return str(path)
-
-    def test_columnar_exit_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_columnar_summary())
-        assert main([path]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_columnar_exit_one(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_columnar_summary(ingest_speedup=1.0))
-        assert main([path, "--min-ingest-speedup", "5"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_scaling_exit_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_scaling_summary())
-        assert main([path, "--expect-parallel-speedup"]) == 0
-        assert "matched or beat serial" in capsys.readouterr().out
-
-    def test_scaling_single_core_skip_is_loud(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_scaling_summary(cpu_count=1))
-        assert main([path, "--expect-parallel-speedup"]) == 0
-        out = capsys.readouterr().out
-        assert "SKIPPED" in out and "1 CPU core" in out
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 1
@@ -462,56 +136,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "SKIPPED" in out and "1 CPU core" in out
 
+    def test_serve_flag_is_required(self, tmp_path, capsys):
+        path = self._write(tmp_path, make_serve_summary())
+        assert main([path]) == 1
+        assert "--expect-serve is required" in capsys.readouterr().out
+
     def test_serve_exit_one(self, tmp_path, capsys):
         path = self._write(tmp_path, make_serve_summary(failures=1))
         assert main([path, "--expect-serve"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_signals_exit_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_signals_summary())
-        assert main([path, "--expect-signals"]) == 0
-        out = capsys.readouterr().out
-        assert "OK" in out
-        assert "zero false confirmations" in out
-        assert "strip-headers 0→42" in out
-
-    def test_signals_exit_one(self, tmp_path, capsys):
-        path = self._write(
-            tmp_path, make_signals_summary(false_confirmations=3)
-        )
-        assert main([path, "--expect-signals"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_realism_exit_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_realism_report())
-        assert main([path, "--expect-realism"]) == 0
-        assert "scored realistic" in capsys.readouterr().out
-
-    def test_realism_exit_one(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_realism_report(flagged=1))
-        assert main([path, "--expect-realism"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_unrealistic_control_exit_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_realism_report(flagged=2))
-        assert main([path, "--expect-realism", "--expect-unrealistic"]) == 0
-        out = capsys.readouterr().out
-        assert "flagged unrealistic as expected" in out
-        assert "cone_mix_l1" in out
-
-    def test_unrealistic_alone_is_rejected(self, tmp_path, capsys):
-        path = self._write(tmp_path, make_realism_report())
-        assert main([path, "--expect-unrealistic"]) == 1
-        assert "only modifies --expect-realism" in capsys.readouterr().out
-
     def test_parser_defaults(self):
         args = build_parser().parse_args(["summary.json"])
-        assert args.min_ingest_speedup == 5.0
-        assert args.speedup_tolerance == 0.05
-        assert not args.expect_parallel_speedup
         assert not args.expect_serve
-        assert not args.expect_signals
-        assert not args.expect_realism
-        assert not args.expect_unrealistic
         assert args.max_p99_ms == 500.0
         assert args.min_qps == 50.0

@@ -1,5 +1,5 @@
 """Repository tooling that is not part of the ``repro`` package proper.
 
-Importable (``tools.check_report``) so the test suite and benchmarks can
-exercise the same comparison logic CI runs as a script.
+Importable (``tools.check_report``) so the test suite can exercise the
+same comparison logic the scripts run.
 """

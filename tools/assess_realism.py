@@ -13,10 +13,11 @@ Usage::
     python tools/assess_realism.py --seed 11 --out realism.json
     python tools/assess_realism.py --strict                  # exit 1 if flagged
 
-The JSON report (``--out``) is versioned (schema ``repro.realism-report/1``)
-and consumed by ``tools/check_perf_gate.py --expect-realism`` in CI's
-realism-gate job; ``docs/scenarios.md`` documents the runbook and
-``docs/methodology.md`` maps every metric to its paper figure.
+The JSON report (``--out``) is versioned (schema
+``repro.realism-report/1``); ``tests/tools/test_assess_realism.py`` runs
+both verdicts (paper-default realistic, ``skewed`` flagged),
+``docs/scenarios.md`` documents the runbook and ``docs/methodology.md``
+maps every metric to its paper figure.
 
 Exit status: 0 on success; with ``--strict``, 1 when the world is flagged
 unrealistic.
@@ -70,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit non-zero when the world is flagged unrealistic "
-        "(CI wires the verdict through check_perf_gate.py instead)",
+        help="exit non-zero when the world is flagged unrealistic",
     )
     return parser
 

@@ -1,8 +1,9 @@
 """Markdown link and anchor checker for the repo's documentation.
 
-The CI docs job's gate::
+Run it over the documentation set (``tests/test_documentation.py``
+checks the same set)::
 
-    python tools/check_docs.py README.md DESIGN.md docs/
+    python tools/check_docs.py README.md DESIGN.md PAPER.md EXPERIMENTS.md ROADMAP.md docs/
 
 For every markdown file named (directories recurse to their ``*.md``),
 every link outside fenced code blocks is checked:

@@ -1,30 +1,22 @@
-"""Diff two pipeline run reports; fail on funnel drift or stage slowdown.
+"""Diff two pipeline run reports; fail on funnel drift.
 
-The CI perf/coverage gate's comparator::
+Usage::
 
     PYTHONPATH=src python tools/check_report.py baseline.json candidate.json
 
-Exit status 0 means the candidate report is schema-valid, its
-deterministic view (corpus, snapshots, options, per-snapshot funnel
-counts) is **byte-identical** to the baseline's, and no pipeline stage
-got slower than ``--max-stage-regression`` times the baseline (stages
-faster than ``--min-stage-seconds`` in the baseline are ignored — their
-timing is noise).  Any drift in the funnel counts is an exact failure:
-candidate/confirmed/valid counts are deterministic functions of the
-inputs and methodology, so *any* change means the methodology changed.
-
-Timing comparisons only make sense between like-for-like runs: stage
-seconds are summed across workers, so a ``jobs=2`` run legitimately
-books ~2x the aggregate CPU of a ``jobs=1`` run while finishing sooner.
-When the two reports' executor configurations differ the timing gate is
-skipped automatically and only the funnel is compared; ``--no-timing``
-forces that behaviour even for same-executor reports (e.g. different
-machines, or a warm-cache run whose skipped stages never book seconds).
+Exit status 0 means both reports are schema-valid and the candidate's
+deterministic view (schema, corpus, snapshots, options, per-snapshot
+funnel counts) is **byte-identical** to the baseline's.  Any drift is an
+exact failure: candidate/confirmed/valid counts are deterministic
+functions of the inputs and methodology, so *any* change means the
+methodology changed.  Executor, cache state and timings are outside the
+deterministic view, so a ``jobs=1`` report compares cleanly against a
+``jobs=2`` one, and a cold run against its ``--resume``.
 
 ``--expect-cache-hits`` additionally requires the candidate to report a
-nonzero stage-artifact cache hit ratio (its ``stage_cache`` section) —
-the CI warm-cache job runs the pipeline twice against one ``--cache-dir``
-and gates the second report on exactly this.
+nonzero stage-artifact cache hit ratio (its ``stage_cache`` section):
+run the pipeline twice against one ``--cache-dir`` and check the second
+report with it.
 
 ``--expect-signals`` additionally requires the candidate's ``signals``
 section to prove the multi-signal confirm engine actually ran: every
@@ -43,14 +35,6 @@ from typing import Iterator
 from repro.obs.report import deterministic_view, load_report, validate_report
 
 __all__ = ["build_parser", "compare_reports", "diff_deterministic", "main"]
-
-#: Default slowdown tolerance: candidate stage time may be up to 1.6x the
-#: baseline before the gate trips (CI runners are noisy neighbours).
-DEFAULT_MAX_REGRESSION = 1.6
-
-#: Stages cheaper than this in the baseline are exempt from the timing
-#: gate — a 3 ms stage doubling is scheduler noise, not a regression.
-DEFAULT_MIN_SECONDS = 0.05
 
 
 def diff_deterministic(baseline: dict, candidate: dict, limit: int = 20) -> list[str]:
@@ -84,19 +68,9 @@ def diff_deterministic(baseline: dict, candidate: dict, limit: int = 20) -> list
     return differences
 
 
-def timing_comparable(baseline: dict, candidate: dict) -> bool:
-    """Whether stage seconds mean the same thing in both reports: same
-    executor kind and worker count (aggregate CPU scales with workers)."""
-    a, b = baseline.get("executor", {}), candidate.get("executor", {})
-    return (a.get("kind"), a.get("jobs")) == (b.get("kind"), b.get("jobs"))
-
-
 def compare_reports(
     baseline: dict,
     candidate: dict,
-    max_stage_regression: float = DEFAULT_MAX_REGRESSION,
-    min_stage_seconds: float = DEFAULT_MIN_SECONDS,
-    check_timing: bool = True,
     expect_cache_hits: bool = False,
     expect_signals: bool = False,
 ) -> list[str]:
@@ -114,26 +88,6 @@ def compare_reports(
             "(counts must match exactly across runs/executors)"
         )
         problems += [f"  {d}" for d in diff_deterministic(baseline, candidate)]
-
-    if check_timing and not timing_comparable(baseline, candidate):
-        check_timing = False
-    if check_timing:
-        base_stages = baseline["stages"]
-        cand_stages = candidate["stages"]
-        for stage, entry in sorted(base_stages.items()):
-            base_seconds = entry["seconds"]
-            if base_seconds < min_stage_seconds:
-                continue
-            if stage not in cand_stages:
-                problems.append(f"stage {stage!r} missing from candidate report")
-                continue
-            cand_seconds = cand_stages[stage]["seconds"]
-            if cand_seconds > base_seconds * max_stage_regression:
-                problems.append(
-                    f"stage {stage!r} regressed: {cand_seconds:.3f}s vs "
-                    f"baseline {base_seconds:.3f}s "
-                    f"(> {max_stage_regression:.2f}x threshold)"
-                )
 
     if expect_cache_hits:
         stage_cache = candidate.get("stage_cache", {})
@@ -171,44 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="check_report",
         description="Compare two repro run reports (funnel drift is an "
-        "exact failure; stage-time regressions fail beyond a threshold)."
+        "exact failure)."
     )
     parser.add_argument("baseline", help="baseline report JSON")
     parser.add_argument("candidate", help="candidate report JSON")
     parser.add_argument(
-        "--max-stage-regression",
-        type=float,
-        default=DEFAULT_MAX_REGRESSION,
-        metavar="FACTOR",
-        help=f"fail when a stage exceeds FACTOR x baseline seconds "
-        f"(default {DEFAULT_MAX_REGRESSION})",
-    )
-    parser.add_argument(
-        "--min-stage-seconds",
-        type=float,
-        default=DEFAULT_MIN_SECONDS,
-        metavar="SECONDS",
-        help=f"ignore stages under SECONDS in the baseline "
-        f"(default {DEFAULT_MIN_SECONDS})",
-    )
-    parser.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="compare funnel shape only (reports from different machines, "
-        "or warm-cache runs whose skipped stages book no seconds)",
-    )
-    parser.add_argument(
         "--expect-cache-hits",
         action="store_true",
         help="fail unless the candidate reports a nonzero stage-artifact "
-        "cache hit ratio (the CI warm-cache gate)",
+        "cache hit ratio (a warm or --resume run)",
     )
     parser.add_argument(
         "--expect-signals",
         action="store_true",
         help="fail unless every signal configured in the candidate's "
-        "options booked at least one verdict in its signals section "
-        "(the CI signals gate)",
+        "options booked at least one verdict in its signals section",
     )
     return parser
 
@@ -222,9 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     problems = compare_reports(
         baseline,
         candidate,
-        max_stage_regression=args.max_stage_regression,
-        min_stage_seconds=args.min_stage_seconds,
-        check_timing=not args.no_timing,
         expect_cache_hits=args.expect_cache_hits,
         expect_signals=args.expect_signals,
     )
@@ -233,15 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
-    timed = not args.no_timing and timing_comparable(baseline, candidate)
-    suffix = (
-        "identical funnel; stage times within threshold"
-        if timed
-        else "identical funnel; timing skipped (executors differ)"
-        if not args.no_timing
-        else "identical funnel; timing skipped (--no-timing)"
-    )
-    print(f"OK: {args.candidate} matches {args.baseline} ({suffix})")
+    print(f"OK: {args.candidate} matches {args.baseline} (identical funnel)")
     return 0
 
 
