@@ -35,6 +35,8 @@ footprints.
 * :mod:`repro.core.executor` — snapshot execution strategies: serial, or a
   fork-based process pool (``PipelineOptions(jobs=N)``) with bit-identical
   output.
+* :mod:`repro.core.gcpause` — pauses the cycle collector over the
+  per-snapshot phase, whose values all die by reference count.
 
 Every stage is instrumented through :mod:`repro.obs`: the pure phase
 books stage timings and funnel counters into a per-snapshot metrics

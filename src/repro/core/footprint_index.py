@@ -186,10 +186,13 @@ def _outcome_from_payload(payload: Mapping) -> SnapshotOutcome:
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write JSON so readers only ever see a complete file."""
+    """Write compact JSON so readers only ever see a complete file.
+
+    Compact output keeps :func:`json.dumps` on its C encoder (``indent``
+    selects the pure-Python one); the readers take either layout."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
         handle.flush()

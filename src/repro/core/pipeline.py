@@ -44,6 +44,7 @@ from repro.core.candidates import Candidate
 from repro.core.confirm import confirm_candidates
 from repro.core.executor import SnapshotExecutor, make_executor
 from repro.core.footprint import FootprintSnapshot, PipelineResult, SnapshotOutcome
+from repro.core.gcpause import gc_paused
 from repro.core.header_fingerprint import learn_header_fingerprints
 from repro.core.netflix import restore_http_only
 from repro.core.signals import parse_policy, signal_names
@@ -303,13 +304,19 @@ class OffnetPipeline:
         offers) and return the longitudinal result.
 
         The per-snapshot phase is mapped by ``executor`` (default: the one
-        ``options.jobs`` selects), then merged in snapshot order.
+        ``options.jobs`` selects), then merged in snapshot order.  The
+        cycle collector is paused over §4.4 learning and the map (see
+        :mod:`repro.core.gcpause`); workers forked there inherit the
+        pause.
         """
         snapshots = self.select_snapshots(snapshots)
-        self._learn_unless_cached(snapshots, RULE_STAGES)
         if executor is None:
             executor = make_executor(self.options.jobs, self.options.shard_size)
-        outcomes = executor.map_snapshots(self, snapshots)
+        # Every value of this phase dies by reference count, so the
+        # cycle collector would only re-traverse the live heap.
+        with gc_paused():
+            self._learn_unless_cached(snapshots, RULE_STAGES)
+            outcomes = executor.map_snapshots(self, snapshots)
         try:
             executor_meta = executor.describe()
         except NotImplementedError:  # a user-supplied bare strategy

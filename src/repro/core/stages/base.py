@@ -10,9 +10,11 @@ The scheduler is a build system in miniature:
 1. every stage's artifact key is derived **top-down from keys alone**
    (:mod:`repro.core.stages.keys`) — no stage value is needed to know
    whether a downstream artifact is reusable;
-2. targets are then **forced lazily**: a cached stage loads its value
-   and replays its counter fragment; only a miss materializes its
-   inputs (recursively), runs the stage, and stores the new artifact.
+2. targets are then **forced lazily**, in two passes over their
+   dependency closure: consumers before producers, each needed stage is
+   looked up — a cached stage loads its value and replays its counter
+   fragment, and only a miss makes its inputs needed; then, producers
+   first, the misses run and store their new artifacts.
 
 Consequences the tests pin down: a fully warm run never loads the
 corpus at all; flipping one option switch recomputes exactly the
@@ -23,14 +25,16 @@ funnel counts to a recompute.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from typing import Any, Callable, Iterable, Mapping
+from time import perf_counter
+from typing import Any
 
 from repro.core.stages.cache import ArtifactCache, NullCache
 from repro.core.stages.keys import artifact_key, option_subset
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timers import stage_timer
+from repro.obs.timers import STAGE_SECONDS
 
 __all__ = ["Stage", "StageContext", "StageGraph", "STAGE_CACHE_EVENTS"]
 
@@ -107,8 +111,9 @@ class StageGraph:
 
     Construction validates the graph (unique names, known deps, no
     cycles) and fixes a topological ``order``.  :meth:`execute` forces
-    a target set through an :class:`~repro.core.stages.cache.ArtifactCache`,
-    replaying cached counter fragments on hits; :meth:`probe` asks
+    a target set through an :class:`~repro.core.stages.cache.ArtifactCache`
+    with an explicit two-pass loop, replaying cached counter fragments on
+    hits; :meth:`probe` asks
     which artifacts already exist without running anything;
     :meth:`keys`/:meth:`closure` expose the addressing and dependency
     closure the CLI surfaces build on.
@@ -181,62 +186,64 @@ class StageGraph:
 
         A cached stage is a *hit*: its value loads, its counter fragment
         merges into ``registry``, and its inputs are never materialized.
-        A miss forces its inputs first, runs the stage inside a
-        :func:`~repro.obs.timers.stage_timer` span with a fresh counter
-        fragment, merges + stores the fragment alongside the value, and
-        appends light artifacts to ``shipment`` (the parallel executor's
-        homeward channel).  Cache traffic books into
+        A miss makes its inputs needed; once they exist it runs with a
+        fresh counter fragment, merges + stores the fragment alongside
+        the value, and appends light artifacts to ``shipment`` (the
+        parallel executor's homeward channel).  Cache traffic books into
         ``stage_cache_events{stage=, event=hit|miss|store}``.
+
+        Every touched stage observes ``stage_seconds{stage=}`` once: its
+        *self* seconds, its own lookup, run and store, never its inputs'.
+        No closure or frame outlives the call, so the returned values die
+        by reference count as soon as the caller drops them.
         """
         cache = cache if cache is not None else NullCache()
         keys = self.keys_for(ctx.options, snapshot_token)
-        # Force the *targets* only — their dependencies materialize
-        # recursively, and only behind a cache miss.  (closure() still
-        # runs first so an unknown target fails fast by name.)
-        if targets is not None:
-            self.closure(targets)
-            wanted: tuple[str, ...] = tuple(
-                name for name in self.order if name in set(targets)
-            )
-        else:
-            wanted = self.order
+        targets = self.order if targets is None else tuple(targets)
+        closure = self.closure(targets)  # an unknown target fails by name
+        needed = set(targets)
         values: dict[str, Any] = {}
-
-        def force(name: str) -> Any:
-            if name in values:
-                return values[name]
+        seconds: dict[str, float] = {}
+        misses: list[str] = []
+        # Pass one, consumers before producers: by the time a stage is
+        # reached, every stage that reads it has decided whether it
+        # needs the value.  A hit ends the walk along that edge; a miss
+        # (or an uncacheable stage) needs its inputs.
+        for name in reversed(closure):
+            if name not in needed:
+                continue
             stage = self.stages[name]
-            with stage_timer(registry, stage.name):
-                if stage.cacheable:
-                    artifact = cache.get(keys[name], heavy=stage.heavy)
-                    if artifact is not None:
-                        value, fragment = artifact
-                        registry.merge(MetricsRegistry.from_dict(fragment))
-                        registry.counter(
-                            STAGE_CACHE_EVENTS, stage=stage.name, event="hit"
-                        ).inc()
-                        values[name] = value
-                        return value
-                    registry.counter(
-                        STAGE_CACHE_EVENTS, stage=stage.name, event="miss"
-                    ).inc()
-                inputs = {dep: force(dep) for dep in stage.deps}
-                counters = MetricsRegistry()
-                value = stage.run(ctx, inputs, counters)
-                registry.merge(counters)
+            start = perf_counter()
+            if stage.cacheable:
+                artifact = cache.get(keys[name], heavy=stage.heavy)
+                if artifact is not None:
+                    value, fragment = artifact
+                    values[name] = value
+                    registry.merge(MetricsRegistry.from_dict(fragment))
+                    registry.counter(STAGE_CACHE_EVENTS, stage=name, event="hit").inc()
+                    seconds[name] = perf_counter() - start
+                    continue
+                registry.counter(STAGE_CACHE_EVENTS, stage=name, event="miss").inc()
+            needed.update(stage.deps)
+            misses.append(name)
+            seconds[name] = perf_counter() - start
+        # Pass two, producers first: run the misses.
+        for name in reversed(misses):
+            stage = self.stages[name]
+            start = perf_counter()
+            counters = MetricsRegistry()
+            value = stage.run(ctx, {dep: values[dep] for dep in stage.deps}, counters)
+            registry.merge(counters)
             if stage.cacheable:
                 artifact = (value, counters.to_dict())
                 cache.put(keys[name], artifact, heavy=stage.heavy)
-                registry.counter(
-                    STAGE_CACHE_EVENTS, stage=stage.name, event="store"
-                ).inc()
+                registry.counter(STAGE_CACHE_EVENTS, stage=name, event="store").inc()
                 if shipment is not None and not stage.heavy:
-                    shipment.append((keys[name], stage.name, artifact))
+                    shipment.append((keys[name], name, artifact))
             values[name] = value
-            return value
-
-        for name in wanted:
-            force(name)
+            seconds[name] += perf_counter() - start
+        for name, elapsed in seconds.items():
+            registry.histogram(STAGE_SECONDS, stage=name).observe(elapsed)
         return values
 
     def probe(

@@ -45,9 +45,9 @@ def _jsonable(value: Any) -> Any:
     """Canonicalise an option value for hashing."""
     if isinstance(value, Snapshot):
         return value.label
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, str | int | float | bool) or value is None:
         return value
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple | list):
         return [_jsonable(v) for v in value]
     raise TypeError(
         f"option value {value!r} ({type(value).__name__}) is not hashable "

@@ -42,13 +42,13 @@ The pipeline façade targets :data:`TERMINAL_STAGES` and assembles the
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.core.candidates import Candidate
 from repro.core.cloudflare import is_cloudflare_customer_cert
-from repro.core.signals import build_signals, evaluate_candidates, parse_policy
 from repro.core.footprint import FootprintSnapshot, SnapshotOutcome
+from repro.core.signals import build_signals, evaluate_candidates, parse_policy
 from repro.core.stages.base import Stage, StageContext, StageGraph
 from repro.core.validation import ValidatedRecord, ValidationStats
 from repro.net.asn import ASN
@@ -448,7 +448,7 @@ def _run_netflix(
     )
     current_tls_ips = scan.unique_ips()
     restorable: dict[int, frozenset[ASN]] = {}
-    for ip, port in zip(scan.store.http_ip, scan.store.http_port):
+    for ip, port in zip(scan.store.http_ip, scan.store.http_port, strict=True):
         if port != 80:
             continue
         if ip in current_tls_ips or ip in restorable:

@@ -414,7 +414,10 @@ def _stream_jsonl(
                     try:
                         result = _apply_record(result, payload, repairs, repair_log)
                     except _RecordError as exc:
-                        error = exc
+                        # Keep a fresh copy, not ``exc``: the raised error's
+                        # traceback holds this frame, so binding it here
+                        # would make a cycle that outlives the loop.
+                        error = _RecordError(exc.error_class, exc.message)
             else:
                 sink.saw()
                 repair_log = []

@@ -111,7 +111,7 @@ class ServeDaemon:
         )
         self._host = host
         self._port = port
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._ingest_lock = threading.Lock()
@@ -129,8 +129,7 @@ class ServeDaemon:
             (_RequestHandler,),
             {"daemon_ref": daemon, "protocol_version": "HTTP/1.1"},
         )
-        self._server = ThreadingHTTPServer((self._host, self._port), handler)
-        self._server.daemon_threads = True
+        self._server = _Server((self._host, self._port), handler)
         serve = threading.Thread(target=self._server.serve_forever, daemon=True)
         watch = threading.Thread(target=self._watch, daemon=True)
         serve.start()
@@ -344,6 +343,17 @@ class ServeDaemon:
                 "world instead)"
             )
         raise _BadQuery(f"unknown slice dimension {by!r} (use country or as)")
+
+
+class _Server(ThreadingHTTPServer):
+    """The daemon's listener: one daemon thread per connection (the
+    ``daemon_threads`` class attribute it inherits)."""
+
+    #: The listen backlog.  Clients open one connection per query, and
+    #: ``socketserver``'s default of 5 overflows under a burst of them:
+    #: the kernel drops the excess SYNs and each retries after a 1 s
+    #: timeout (the kernel caps the value at ``net.core.somaxconn``).
+    request_queue_size = 128
 
 
 class _RequestHandler(BaseHTTPRequestHandler):

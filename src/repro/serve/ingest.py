@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.footprint_index import DurableFootprintIndex, IndexView
+from repro.core.gcpause import gc_paused
 from repro.core.pipeline import OffnetPipeline, PipelineOptions
 from repro.datasets.fileview import FileDataset
 from repro.obs.metrics import MetricsRegistry
@@ -144,7 +145,12 @@ class DeltaIngestor:
         return "ingest:" + hashlib.sha256(document.encode("utf-8")).hexdigest()
 
     def ingest_once(self) -> IngestReport:
-        """One reconcile pass (see the module docstring for the steps)."""
+        """One reconcile pass (see the module docstring for the steps),
+        with the cycle collector paused (:mod:`repro.core.gcpause`)."""
+        with gc_paused():
+            return self._reconcile()
+
+    def _reconcile(self) -> IngestReport:
         started = time.perf_counter()
         source = FileDataset(self.directory)
         pipeline = OffnetPipeline(source, self.options)

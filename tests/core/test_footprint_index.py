@@ -19,6 +19,7 @@ accumulate it in arrival order.
 import dataclasses
 import json
 import random
+import shutil
 
 import pytest
 
@@ -284,6 +285,19 @@ class TestDurableMechanics:
         reopened.fold(outcomes[0], "t0")
         reopened.commit()
         assert DurableFootprintIndex(index.state_dir).tokens() == index.tokens()
+
+    def test_indented_state_dir_still_loads(self, cold_index, tmp_path):
+        """Index files are written compact; a state dir written with
+        ``indent=2`` (the earlier layout of the same format) reloads."""
+        state = tmp_path / "indented"
+        shutil.copytree(cold_index.state_dir, state)
+        for path in state.rglob("*.json"):
+            text = path.read_text()
+            assert "\n " not in text
+            path.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True))
+        reloaded = DurableFootprintIndex(state)
+        assert reloaded.tokens() == cold_index.tokens()
+        assert_footprints_identical(cold_index.view(), reloaded.view())
 
     def test_manifest_records_the_format_version(self, cold_index):
         manifest = json.loads(

@@ -1,9 +1,11 @@
 """Round-trip tests for JSONL corpus persistence."""
 
+import gc
+
 import pytest
 
 from repro.datasets.formats import read_corpus, write_corpus
-from repro.robustness import CorpusParseError
+from repro.robustness import CorpusParseError, IngestPolicy
 from repro.timeline import Snapshot
 
 END = Snapshot(2021, 4)
@@ -110,3 +112,45 @@ class TestParseErrorPositions:
         assert excinfo.value.line_number == line_count
         assert excinfo.value.byte_offset == size_before
         assert excinfo.value.error_class == "malformed_json"
+
+
+class TestRejectedRecordsLeaveNoCycles:
+    """A rejected record must not pin the reader's frame: the loop keeps
+    only the error's class and message, never the raised exception, whose
+    traceback would hold the frame (and through it the caller's stack)."""
+
+    def _corpus_ending_in_a_rejected_record(self, small_world, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(small_world.scan("rapid7", Snapshot(2014, 4)), path)
+        with path.open("a") as handle:
+            handle.write('{"type": "bogus"}\n')
+        read_corpus(path, IngestPolicy(mode="lenient"))  # warm every import
+        return path
+
+    def _cyclic_garbage(self, read) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            read()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_lenient_read(self, small_world, tmp_path):
+        path = self._corpus_ending_in_a_rejected_record(small_world, tmp_path)
+        assert self._cyclic_garbage(
+            lambda: read_corpus(path, IngestPolicy(mode="lenient"))
+        ) == 0
+
+    def test_strict_refusal(self, small_world, tmp_path):
+        path = self._corpus_ending_in_a_rejected_record(small_world, tmp_path)
+
+        def refuse():
+            try:
+                read_corpus(path)
+            except CorpusParseError as error:
+                assert error.error_class == "unknown_record_type"
+            else:
+                raise AssertionError("strict read accepted a bogus record")
+
+        assert self._cyclic_garbage(refuse) == 0
