@@ -33,7 +33,7 @@ header-only confirmation bit for bit.
 
 Every world-backed command builds the same deterministic world from
 ``--seed``/``--scale``; ``run --dir`` drives the identical pipeline from an
-exported dataset directory instead (``run-files`` is the legacy spelling).
+exported dataset directory instead.
 
 Global options are accepted before *or* after the subcommand:
 
@@ -155,13 +155,12 @@ def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser, dir_required: bool) -> None:
-    """The shared ``run``/``run-files`` argument set."""
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``run`` argument set."""
     _add_globals(parser)
     _add_confirm_arguments(parser)
     parser.add_argument(
         "--dir",
-        required=dir_required,
         default=None,
         help="run from an exported dataset directory instead of a synthetic world",
     )
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run the pipeline and print the Table 3 footprints"
     )
-    _add_run_arguments(run, dir_required=False)
+    _add_run_arguments(run)
 
     validate = sub.add_parser(
         "validate", help="survey-style validation against ground truth"
@@ -302,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"format registry (registered: {', '.join(format_names())}; "
         "default: jsonl)",
     )
-
-    run_files = sub.add_parser(
-        "run-files", help="legacy alias for `run --dir DIR`"
-    )
-    _add_run_arguments(run_files, dir_required=True)
 
     serve = sub.add_parser(
         "serve",
@@ -535,9 +529,9 @@ def _dataset_context(directory: str, corpus: str | None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """One code path for `run` and `run-files`: build a DataSource (world
-    or file dataset), pick the §4.4 learning snapshot, run, print Table 3."""
-    directory = getattr(args, "dir", None)
+    """Build a DataSource (world or file dataset), pick the §4.4 learning
+    snapshot, run, print Table 3."""
+    directory = args.dir
     if args.resume and not args.cache_dir:
         print("--resume needs --cache-dir (there is nothing to resume from)")
         return 2
@@ -980,7 +974,6 @@ _COMMANDS = {
     "growth": _cmd_growth,
     "dump": _cmd_dump,
     "export": _cmd_export,
-    "run-files": _cmd_run,
     "serve": _cmd_serve,
     "query": _cmd_query,
     "scenario": _cmd_scenario,

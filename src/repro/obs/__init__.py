@@ -1,12 +1,12 @@
-"""Pipeline observability: metrics primitives, stage timers, run reports.
+"""Pipeline observability: metrics primitives, stage timings, run reports.
 
 The subsystem has three deliberately small layers:
 
 * :mod:`repro.obs.metrics` — counter/gauge/histogram primitives behind a
   process-local :class:`MetricsRegistry` with a deterministic merge and
   byte-stable JSON serialisation (no dependencies, picklable);
-* :mod:`repro.obs.timers` — ``with stage_timer(registry, "validate"):``
-  spans that feed the ``stage_seconds`` histogram;
+* :mod:`repro.obs.timers` — the ``stage_seconds`` histogram every stage
+  timing feeds, and the :class:`Stopwatch` that laps into it;
 * :mod:`repro.obs.report` — the versioned JSON run report
   (``repro.run-report/1``) every pipeline run can emit, and its
   deterministic view ``tools/check_report.py`` compares across executors.
@@ -21,7 +21,7 @@ from repro.obs.report import (
     validate_report,
     write_report,
 )
-from repro.obs.timers import STAGE_SECONDS, Stopwatch, stage_timer
+from repro.obs.timers import STAGE_SECONDS, Stopwatch
 
 __all__ = [
     "Counter",
@@ -34,7 +34,6 @@ __all__ = [
     "build_report",
     "deterministic_view",
     "load_report",
-    "stage_timer",
     "validate_report",
     "write_report",
 ]

@@ -1,57 +1,36 @@
-"""Stage-scoped timing spans over a :class:`~repro.obs.metrics.MetricsRegistry`.
+"""Stage-scoped timing over a :class:`~repro.obs.metrics.MetricsRegistry`.
 
-One idiom replaces every scattered ``tick = perf_counter()`` pair in the
-pipeline::
+Every stage second lands in the ``stage_seconds`` histogram labelled with
+the stage name (count = invocations, sum = total seconds), which is
+exactly the shape the run report's per-stage table consumes.  The stage
+scheduler (:meth:`repro.core.stages.base.StageGraph.execute`) books each
+stage's self time there; work outside the stage graph laps a
+:class:`Stopwatch`::
 
-    with stage_timer(registry, "validate"):
-        records, stats = validator.validate_snapshot(scan)
+    watch = Stopwatch(metrics)
+    ...  # fold the per-snapshot outcomes
+    watch.lap("merge")
 
-Each span records its wall-clock seconds into the ``stage_seconds``
-histogram labelled with the stage name (count = invocations, sum = total
-seconds), which is exactly the shape the run report's per-stage table
-consumes.  Timings are inherently non-deterministic, so they live in
-histograms the report keeps *outside* its deterministic view — see
+Timings are inherently non-deterministic, so they live in histograms the
+report keeps *outside* its deterministic view — see
 :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Iterator
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["STAGE_SECONDS", "stage_timer", "Stopwatch"]
+__all__ = ["STAGE_SECONDS", "Stopwatch"]
 
 #: The histogram name every stage span observes into.
 STAGE_SECONDS = "stage_seconds"
 
 
-@contextmanager
-def stage_timer(
-    registry: MetricsRegistry | None, stage: str, **labels: str
-) -> Iterator[None]:
-    """Time a ``with`` block into ``stage_seconds{stage=...}``.
-
-    A ``None`` registry degrades to a no-op so call sites never need a
-    conditional — standalone use of the stage functions stays unmetered.
-    """
-    if registry is None:
-        yield
-        return
-    start = perf_counter()
-    try:
-        yield
-    finally:
-        registry.histogram(STAGE_SECONDS, stage=stage, **labels).observe(
-            perf_counter() - start
-        )
-
-
 class Stopwatch:
-    """An explicit start/lap timer for call sites a ``with`` block cannot
-    wrap cleanly (e.g. timing successive phases of one loop)."""
+    """A start/lap timer: each lap books the seconds since the previous
+    one (or construction) as one stage."""
 
     def __init__(self, registry: MetricsRegistry | None) -> None:
         self._registry = registry

@@ -6,14 +6,12 @@ kind of newline-delimited JSON so the examples can demonstrate a
 file-backed workflow (write once, analyse many times).
 
 This module is the **JSONL codec** behind the
-:class:`~repro.datasets.formats.CorpusFormat` registry — new code should
-go through :func:`repro.datasets.formats.read_corpus` /
+:class:`~repro.datasets.formats.CorpusFormat` registry and exports no
+entry point of its own: corpora are read and written through
+:func:`repro.datasets.formats.read_corpus` /
 :func:`~repro.datasets.formats.write_corpus`, which autodetect the format
 on disk (the packed binary columnar codec lives in
-:mod:`repro.datasets.columnar`).  The historical entry points
-(:func:`save_snapshot`, :func:`stream_snapshot`, :func:`load_snapshot`)
-still work but emit :class:`DeprecationWarning` and delegate to the
-registry.
+:mod:`repro.datasets.columnar`).
 
 Both directions speak the columnar store natively: writing walks the
 store's columns (each unique chain is serialized exactly once — the

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.timers import STAGE_SECONDS, Stopwatch, stage_timer
+from repro.obs.timers import STAGE_SECONDS, Stopwatch
 
 
 class TestCounter:
@@ -177,25 +177,6 @@ class TestJSONRoundTrip:
 
 
 class TestTimers:
-    def test_stage_timer_observes_elapsed_seconds(self):
-        registry = MetricsRegistry()
-        with stage_timer(registry, "validate"):
-            pass
-        histogram = registry.histogram(STAGE_SECONDS, stage="validate")
-        assert histogram.count == 1
-        assert histogram.total >= 0.0
-
-    def test_stage_timer_records_on_exception(self):
-        registry = MetricsRegistry()
-        with pytest.raises(RuntimeError):
-            with stage_timer(registry, "scan"):
-                raise RuntimeError("boom")
-        assert registry.histogram(STAGE_SECONDS, stage="scan").count == 1
-
-    def test_none_registry_is_a_noop(self):
-        with stage_timer(None, "anything"):
-            pass  # must simply not raise
-
     def test_stopwatch_laps(self):
         registry = MetricsRegistry()
         watch = Stopwatch(registry)

@@ -17,6 +17,7 @@ import shutil
 import statistics
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
 import pytest
@@ -192,6 +193,29 @@ class TestBaseline:
                     seconds.append(time.perf_counter() - started)
                 assert statistics.median(seconds) < 0.020, (path, seconds)
         assert len(body) > 8192
+
+    def test_a_burst_of_connects_is_answered_without_a_syn_retry(self, daemon):
+        """32 clients connect at the same instant, three times over.  With
+        socketserver's default listen backlog of 5, the connects that
+        overflowed it waited out the kernel's 1 s SYN retry."""
+        clients = 32
+
+        def status(barrier):
+            barrier.wait()
+            started = time.perf_counter()
+            with closing(http.client.HTTPConnection(*daemon.address(), timeout=10)) as connection:
+                connection.request("GET", "/status")
+                response = connection.getresponse()
+                response.read()
+            return response.status, time.perf_counter() - started
+
+        with ThreadPoolExecutor(max_workers=clients) as pool:
+            for _ in range(3):
+                barrier = threading.Barrier(clients, timeout=10)
+                answers = list(pool.map(status, [barrier] * clients))
+                assert [code for code, _ in answers] == [200] * clients
+                slowest = max(seconds for _, seconds in answers)
+                assert slowest < 0.5, answers
 
 
 class TestDrill:

@@ -30,16 +30,12 @@ class TestParser:
         assert args.seed == 7
 
     def test_jobs_defaults_to_serial(self):
-        for argv in (["run"], ["validate"], ["growth"], ["run-files", "--dir", "x"]):
+        for argv in (["run"], ["validate"], ["growth"]):
             assert build_parser().parse_args(argv).jobs == 1
 
     def test_subcommand_global_overrides_top_level(self):
         args = build_parser().parse_args(["--jobs", "4", "run", "--jobs", "2"])
         assert args.jobs == 2
-
-    def test_run_files_requires_dir(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-files"])
 
     def test_header_learning_snapshot_option(self):
         args = build_parser().parse_args(
@@ -120,13 +116,8 @@ def test_export_and_run_files(tmp_path, capsys):
     ]) == 0
     assert (directory / "manifest.json").exists()
     capsys.readouterr()
-    assert main(["run-files", "--dir", str(directory)]) == 0
-    out = capsys.readouterr().out
-    assert "google" in out
-
-    # `run --dir` is the same code path and must print the same table.
     assert main(["run", "--dir", str(directory)]) == 0
-    assert capsys.readouterr().out == out
+    assert "google" in capsys.readouterr().out
 
     # An explicit §4.4 learning snapshot is honoured, not overridden.
     assert main([

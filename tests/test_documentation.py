@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.cli import build_parser
 from repro.scenario import scenario_names
-from tools import assess_realism, check_docs, check_perf_gate, check_report, inject_faults
+from tools import assess_realism, check_docs, check_report, inject_faults
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -44,7 +44,6 @@ TOOL_PARSERS = {
     "check_report.py": check_report.build_parser,
     "check_docs.py": check_docs.build_parser,
     "inject_faults.py": inject_faults.build_parser,
-    "check_perf_gate.py": check_perf_gate.build_parser,
     "assess_realism.py": assess_realism.build_parser,
 }
 
