@@ -9,7 +9,11 @@ Steps, exactly as the paper describes them:
 4. merge the two collectors; prefixes with conflicting origins keep *all*
    origins and are treated as MOAS.
 
-Lookups use longest-prefix match over the merged table.
+:meth:`IPToASMap.from_ribs` applies step 3 and hands the surviving
+``(prefix, origin)`` pairs to :meth:`IPToASMap.from_pairs`, the one place
+steps 2 and 4 happen; an exported table, filtered when it was written,
+enters at ``from_pairs`` directly.  Lookups use longest-prefix match over
+the merged table.
 """
 
 from __future__ import annotations
@@ -49,18 +53,36 @@ class IPToASMap:
     ) -> "IPToASMap":
         """Build the map from collector RIBs (set ``min_persistence=0.0`` to
         ablate the persistence filter)."""
-        mapping = cls(min_persistence=min_persistence)
+        mapping = cls.from_pairs(
+            (entry.prefix, entry.origin)
+            for rib in ribs
+            for entry in rib
+            if entry.seen_fraction > min_persistence
+        )
+        mapping.min_persistence = min_persistence
+        return mapping
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[IPv4Prefix, ASN]]) -> "IPToASMap":
+        """Build the map from ``(prefix, origin)`` announcements that
+        already passed the persistence filter: drop bogon prefixes and
+        reserved origin ASNs, then merge by prefix, a prefix announced by
+        several origins keeping them all (MOAS)."""
+        mapping = cls()
         origins: dict[IPv4Prefix, set[ASN]] = {}
-        for rib in ribs:
-            for entry in rib:
-                if entry.seen_fraction <= min_persistence:
+        for prefix, origin in pairs:
+            if is_reserved_asn(origin):
+                continue
+            asns = origins.get(prefix)
+            if asns is None:
+                if is_bogon(prefix):
                     continue
-                if is_bogon(entry.prefix) or is_reserved_asn(entry.origin):
-                    continue
-                origins.setdefault(entry.prefix, set()).add(entry.origin)
+                asns = origins[prefix] = set()
+            asns.add(origin)
+        tree = mapping._tree
         for prefix, asns in origins.items():
-            mapping._tree.insert(prefix, frozenset(asns))
-            mapping._prefix_count += 1
+            tree.insert(prefix, frozenset(asns))
+        mapping._prefix_count = len(origins)
         return mapping
 
     def lookup(self, address: IPv4Address | int) -> frozenset[ASN]:

@@ -17,11 +17,12 @@ snapshots:
   and a worker ingests only its own shard's corpus files.
 
 Before forking, the parent drops what workers must not inherit
-(:meth:`~repro.core.pipeline.OffnetPipeline.trim_for_fork` — e.g. a
-file-backed source's warm scan LRU, which would otherwise be
-copy-on-write duplicated into every child); each worker then ships home
-only *light* cargo: picklable outcomes, light stage artifacts for the
-parent's cache (:meth:`~repro.core.pipeline.OffnetPipeline.seed_artifacts`),
+(:meth:`~repro.core.pipeline.OffnetPipeline.trim_for_fork` — e.g. the
+§4.4 learning snapshot's store a file-backed source still holds, which
+would otherwise be copy-on-write duplicated into every child); each
+worker then ships home only *light* cargo: picklable outcomes, light
+stage artifacts for the parent's cache
+(:meth:`~repro.core.pipeline.OffnetPipeline.seed_artifacts`),
 and a small stats fragment (peak RSS, snapshot count) that surfaces in
 :meth:`ParallelExecutor.describe`.  Heavy per-row artifacts (the §4.2
 match rows) never ride the pickle channel — workers of a shared
@@ -179,7 +180,7 @@ class ParallelExecutor(SnapshotExecutor):
             return SerialExecutor().map_snapshots(pipeline, snapshots)
         self.last_plan = plan.describe()
         self.last_shards = len(plan.shards)
-        # Drop parent state workers must not duplicate (warm scan LRUs);
+        # Drop parent state workers must not duplicate (a held store);
         # everything else crosses the fork boundary copy-on-write.
         pipeline.trim_for_fork()
         global _worker_pipeline

@@ -471,7 +471,7 @@ class OffnetPipeline:
         shipment: list[tuple[str, str, object]] = []
         seen: set[str] = set()
         for snapshot in shard.snapshots:
-            outcome, shipped = self._run_snapshot_shipping(snapshot, shard=shard)
+            outcome, shipped = self._run_snapshot_shipping(snapshot)
             outcomes.append(outcome)
             for key, stage, artifact in shipped:
                 if key not in seen:
@@ -482,9 +482,10 @@ class OffnetPipeline:
     def trim_for_fork(self) -> None:
         """Drop state forked workers must not inherit copy-on-write —
         delegates to the source's ``trim_for_fork`` when it has one
-        (:class:`~repro.datasets.FileDataset` clears its warm scan LRU;
-        an in-memory :class:`~repro.world.World` keeps everything, since
-        its snapshot stores *are* the data workers need)."""
+        (:class:`~repro.datasets.FileDataset` drops the store it still
+        holds, the §4.4 learning snapshot's; a
+        :class:`~repro.world.World` keeps its one store and map, which
+        workers share copy-on-write)."""
         trim = getattr(self.source, "trim_for_fork", None)
         if trim is not None:
             trim()
@@ -568,20 +569,11 @@ class OffnetPipeline:
             matches.append(tuple(k for k in self._keywords if k in lowered))
         return matches
 
-    def _scan_and_map(self, snapshot: Snapshot, shard: Shard | None = None):
+    def _scan_and_map(self, snapshot: Snapshot):
         """The corpus and IP-to-AS view for one snapshot, optionally merged
-        with the IPv6 research corpus (§7 future work).
-
-        Inside a shard, sources that offer a shard-local read path
-        (``scan_for_shard``: same data, scan LRU held at one entry) are
-        read through it — a worker visits each of its snapshots once, so
-        retaining earlier stores only inflates peak RSS."""
+        with the IPv6 research corpus (§7 future work)."""
         source = self.source
-        scan_for_shard = getattr(source, "scan_for_shard", None)
-        if shard is not None and scan_for_shard is not None:
-            scan = scan_for_shard(self.options.corpus, snapshot)
-        else:
-            scan = source.scan(self.options.corpus, snapshot)
+        scan = source.scan(self.options.corpus, snapshot)
         ip2as = source.ip2as(snapshot)
         if self.options.include_ipv6:
             ipv6_scan = getattr(source, "ipv6_scan", None)
@@ -624,18 +616,14 @@ class OffnetPipeline:
         return outcome
 
     def _run_snapshot_shipping(
-        self, snapshot: Snapshot, ship: bool = True, shard: Shard | None = None
+        self, snapshot: Snapshot, ship: bool = True
     ) -> tuple[SnapshotOutcome, list]:
         """:meth:`run_snapshot` plus the light artifacts the run computed,
-        for the parallel executor to carry across the fork boundary.
-        ``shard`` is threaded into the stage context as execution
-        metadata only — it never reaches an artifact key."""
+        for the parallel executor to carry across the fork boundary."""
         registry = MetricsRegistry()
         shipment: list | None = [] if ship else None
         values = self._graph.execute(
-            StageContext(
-                pipeline=self, snapshot=snapshot, options=self.options, shard=shard
-            ),
+            StageContext(pipeline=self, snapshot=snapshot, options=self.options),
             self.snapshot_token(snapshot),
             registry,
             cache=self._cache,

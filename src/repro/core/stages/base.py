@@ -51,20 +51,15 @@ class StageContext:
     §4.1 validator with its cross-snapshot verdict caches, the learned
     §4.4 header rules); ``options`` is the full switch set, but a stage
     must only read the switches it declared in ``option_keys`` — the
-    cache key covers nothing else.
-
-    ``shard`` is the :class:`~repro.datasets.Shard` this execution runs
-    inside, or ``None`` outside the parallel path.  It is *execution
-    metadata only*: artifact keys derive from options and tokens, never
-    from the shard, so a cache populated at one shard geometry hits at
-    every other (including serial ``--resume``).  The scan stage uses it
-    to pick the shard-local read path on sources that offer one.
+    cache key covers nothing else.  Nothing about how the run is
+    executed (serial, or which shard of a parallel run) reaches a stage,
+    so a cache populated at one shard geometry hits at every other
+    (including serial ``--resume``).
     """
 
     pipeline: Any
     snapshot: Any
     options: Any
-    shard: Any = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -156,10 +156,10 @@ class NetflixResult:
 def _run_scan(ctx: StageContext, inputs: Mapping, counters: MetricsRegistry):
     """Load the corpus + IP-to-AS view (non-cacheable: live objects).
 
-    Inside a shard the read routes through the source's shard-local
-    path (a one-entry scan LRU), which changes worker memory, never
-    data — shard identity stays out of the artifact key."""
-    return ctx.pipeline._scan_and_map(ctx.snapshot, shard=ctx.shard)
+    Every executor reads through the source's one ``scan`` path; the
+    source keeps only the last snapshot's store and map, so a run holds
+    one snapshot's corpus at a time."""
+    return ctx.pipeline._scan_and_map(ctx.snapshot)
 
 
 def _run_ingest(

@@ -17,9 +17,14 @@ which sniffs each file and dispatches to the registered codec — the
 packed binary columnar format (``.rcc``) loads near zero-copy through
 :meth:`~repro.store.SnapshotStore.from_columns`, while JSONL streams one
 line at a time into the store; either way loading never materializes
-per-row record objects.  The dataset owns a cross-snapshot **chain
-pool** (end-entity fingerprint → chain), so a columnar snapshot only
-decodes the chains the previous months didn't already carry.
+per-row record objects.  The dataset keeps a **chain pool** (end-entity
+fingerprint → chain) of the last snapshot it read, so a columnar snapshot
+only decodes the chains the previous month didn't already carry.
+
+The dataset holds one snapshot in flight: by default it keeps only the
+last corpus store, the last IP-to-AS map and that last snapshot's chains,
+so what a long run or a serve daemon retains does not grow with the
+number of snapshots.
 
 Reads honour an :class:`~repro.robustness.IngestPolicy` (strict by
 default; installed per run by the pipeline via :meth:`configure_ingest`),
@@ -35,9 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bgp.ip2as import IPToASMap
-from repro.bgp.rib import RibEntry, RibSnapshot
-from repro.net.ipv4 import IPv4Prefix
 from repro.datasets.formats import corpus_candidates, probe_corpus_cost, read_corpus
+from repro.net.ipv4 import IPv4Prefix
 from repro.robustness import IngestPolicy
 from repro.scan.corpus import _cert_from_json
 from repro.scan.records import ScanSnapshot
@@ -138,9 +142,9 @@ class FileDataset:
         self.root_store = self._load_anchors()
         self._scan_cache: OrderedDict[tuple[str, Snapshot], ScanSnapshot] = OrderedDict()
         self._ip2as_cache: dict[Snapshot, IPToASMap] = {}
-        #: Cross-snapshot chain pool (end-entity fingerprint -> chain):
-        #: codecs that can skip decoding already-materialized chains
-        #: (the columnar format) share it across this dataset's reads.
+        #: The last read snapshot's chains (end-entity fingerprint ->
+        #: chain): codecs that can skip decoding already-materialized
+        #: chains (the columnar format) reuse them for the next read.
         self._chain_pool: dict = {}
 
     def configure_ingest(self, policy: IngestPolicy) -> None:
@@ -242,9 +246,10 @@ class FileDataset:
             )
         return _FileScanner(_FileScannerProfile(name=name, available_since=snapshots[0]))
 
-    def scan(self, name: str, snapshot: Snapshot, cache_size: int = 4) -> ScanSnapshot:
+    def scan(self, name: str, snapshot: Snapshot, cache_size: int = 1) -> ScanSnapshot:
         """Load one corpus snapshot from disk into a columnar store
-        (LRU-cached), under the configured ingestion policy.
+        under the configured ingestion policy, keeping the last
+        ``cache_size`` stores (LRU).
 
         The file's format is autodetected: the snapshot label is resolved
         against every registered codec suffix (``.rcc`` before
@@ -277,18 +282,15 @@ class FileDataset:
         loaded = read_corpus(
             path, policy, quarantine_path, chain_pool=self._chain_pool
         )
+        # Consecutive months mostly repeat each other's chains, so the
+        # pool keeps exactly this snapshot's for the next read.
+        self._chain_pool = {
+            chain.end_entity.fingerprint: chain for chain in loaded.store.chains
+        }
         self._scan_cache[key] = loaded
         while len(self._scan_cache) > cache_size:
             self._scan_cache.popitem(last=False)
         return loaded
-
-    def scan_for_shard(self, name: str, snapshot: Snapshot) -> ScanSnapshot:
-        """Shard-local corpus read: :meth:`scan` with the LRU held at one
-        entry.  A shard worker visits each of its snapshots exactly once,
-        in order, so retaining earlier stores only inflates the worker's
-        peak RSS — the scan stage routes here whenever it runs inside a
-        shard (see :class:`~repro.core.stages.StageContext`)."""
-        return self.scan(name, snapshot, cache_size=1)
 
     def shard_cost(self, name: str, snapshot: Snapshot) -> float:
         """Estimated ingest cost of one corpus snapshot, without loading
@@ -311,30 +313,35 @@ class FileDataset:
     def trim_for_fork(self) -> None:
         """Drop the scan LRU before the parallel executor forks workers.
 
-        Anything cached here (typically the §4.4 header-learning
-        snapshot's full store) would be copy-on-write duplicated into
-        every worker; shard workers re-read exactly the snapshots they
-        own instead.  The chain pool survives — it is the cross-snapshot
-        dedup the columnar reader exploits, shared read-mostly."""
+        What it holds then (the §4.4 header-learning snapshot's store)
+        would be copy-on-write duplicated into every worker; shard
+        workers read exactly the snapshots they own instead.  The chain
+        pool survives: it is one snapshot's chains, which a worker's
+        first read may reuse and then replaces."""
         self._scan_cache.clear()
 
     def ip2as(self, snapshot: Snapshot) -> IPToASMap:
-        """Load the prefix-to-AS table for one snapshot from disk."""
+        """Load the prefix-to-AS table for one snapshot from disk (the
+        last snapshot's map is kept)."""
         cached = self._ip2as_cache.get(snapshot)
         if cached is not None:
             return cached
+        self._ip2as_cache.clear()
         path = self.directory / "ip2as" / f"{snapshot.label}.tsv"
         if not path.exists():
             raise FileNotFoundError(f"no ip2as table for {snapshot}: {path}")
-        entries = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            prefix_text, origins_text = line.split("\t")
-            prefix = IPv4Prefix.parse(prefix_text)
-            for origin in origins_text.split(","):
-                entries.append(RibEntry(prefix, int(origin), 1.0))
-        rib = RibSnapshot(collector="file", snapshot=snapshot, entries=tuple(entries))
-        mapping = IPToASMap.from_ribs([rib])
+        mapping = IPToASMap.from_pairs(_table_rows(path))
         self._ip2as_cache[snapshot] = mapping
         return mapping
+
+
+def _table_rows(path: Path):
+    """The ``(prefix, origin)`` rows of an exported ip2as table: one line
+    per prefix, its origins comma-separated (several means MOAS)."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        prefix_text, origins_text = line.split("\t")
+        prefix = IPv4Prefix.parse(prefix_text)
+        for origin in origins_text.split(","):
+            yield prefix, int(origin)

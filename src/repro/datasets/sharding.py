@@ -10,8 +10,7 @@ A *shard* is the fix: a contiguous group of snapshots, in snapshot
 order, that one worker task ingests and runs end to end.  The executor
 submits one task per shard, so the pickle/scheduling overhead amortizes
 over the shard, and a worker only ever loads the corpus files of its own
-shard (file-backed sources additionally keep their scan LRU at one entry
-inside a shard — see :meth:`~repro.datasets.FileDataset.scan_for_shard`).
+shard, holding one snapshot's store at a time as every run does.
 
 Planning is **cost-balanced**: per-snapshot ingest costs come from
 :func:`~repro.datasets.formats.probe_corpus_cost` (for ``.rcc`` corpuses

@@ -1,5 +1,5 @@
-"""Low-level network value types: IPv4 addresses, prefixes, ASNs, and a
-longest-prefix-match radix trie.
+"""Low-level network value types: IPv4 addresses, prefixes, ASNs, and
+longest-prefix-match tables.
 
 These are the building blocks shared by the BGP substrate, the scan
 simulators, and the IP-to-AS mapping.  Addresses and prefixes are backed by

@@ -30,4 +30,7 @@ def is_reserved_asn(asn: ASN) -> bool:
     """True if the AS number falls in a special-purpose / private range."""
     if asn < 0 or asn > 4294967295:
         return True
-    return any(low <= asn <= high for low, high in RESERVED_ASNS)
+    for low, high in RESERVED_ASNS:
+        if low <= asn <= high:
+            return True
+    return False

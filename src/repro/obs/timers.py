@@ -32,7 +32,7 @@ class Stopwatch:
     """A start/lap timer: each lap books the seconds since the previous
     one (or construction) as one stage."""
 
-    def __init__(self, registry: MetricsRegistry | None) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
         self._last = perf_counter()
 
@@ -41,8 +41,5 @@ class Stopwatch:
         now = perf_counter()
         elapsed = now - self._last
         self._last = now
-        if self._registry is not None:
-            self._registry.histogram(STAGE_SECONDS, stage=stage, **labels).observe(
-                elapsed
-            )
+        self._registry.histogram(STAGE_SECONDS, stage=stage, **labels).observe(elapsed)
         return elapsed

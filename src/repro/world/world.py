@@ -4,9 +4,13 @@ A world is fully determined by its :class:`~repro.world.config.WorldConfig`
 (seed + scale).  It exposes:
 
 * ``scan(name, snapshot)`` — the Rapid7 / Censys / certigo corpus for a
-  snapshot (LRU-cached: corpuses are large);
+  snapshot;
 * ``ip2as(snapshot)`` — the merged, filtered Appendix A.1 mapping;
 * ground-truth accessors the validation layer compares inferences against.
+
+Corpora, RIBs and maps are large and rebuilt bit-identically from the
+seed, so the world keeps only the last one of each it built: what a run
+retains does not grow with the number of snapshots.
 """
 
 from __future__ import annotations
@@ -118,8 +122,9 @@ class World:
             self._scanners[name] = scanner
         return scanner
 
-    def scan(self, name: str, snapshot: Snapshot, cache_size: int = 6) -> ScanSnapshot:
-        """One scanner's corpus for one snapshot (LRU-cached)."""
+    def scan(self, name: str, snapshot: Snapshot, cache_size: int = 1) -> ScanSnapshot:
+        """One scanner's corpus for one snapshot, keeping the last
+        ``cache_size`` corpora built (LRU)."""
         key = (name, snapshot)
         cached = self._scan_cache.get(key)
         if cached is not None:
@@ -177,18 +182,23 @@ class World:
     # -- BGP / IP-to-AS -------------------------------------------------------
 
     def ribs(self, snapshot: Snapshot) -> list[RibSnapshot]:
-        """Both collectors' monthly RIBs for ``snapshot``."""
+        """Both collectors' monthly RIBs for ``snapshot`` (the last
+        snapshot's are kept; each is seeded by its label, so a rebuild is
+        identical)."""
         cached = self._rib_cache.get(snapshot)
         if cached is None:
+            self._rib_cache.clear()
             rng = random.Random(f"{self.config.seed}:ribs:{snapshot.label}")
             cached = build_ribs(self.topology, snapshot, rng)
             self._rib_cache[snapshot] = cached
         return cached
 
     def ip2as(self, snapshot: Snapshot) -> IPToASMap:
-        """The merged Appendix A.1 IP-to-AS map for ``snapshot``."""
+        """The merged Appendix A.1 IP-to-AS map for ``snapshot`` (the last
+        snapshot's is kept)."""
         cached = self._ip2as_cache.get(snapshot)
         if cached is None:
+            self._ip2as_cache.clear()
             cached = IPToASMap.from_ribs(self.ribs(snapshot))
             self._ip2as_cache[snapshot] = cached
         return cached

@@ -71,6 +71,29 @@ class TestIPToASMap:
         assert mapping.lookup(IPv4Address.parse("1.0.8.1")) == {64}
         assert str(mapping.prefix_of(IPv4Address.parse("1.0.7.1"))) == "1.0.7.0/24"
 
+    def test_pair_builder_equals_from_ribs(self):
+        rows = (
+            ("1.0.0.0/16", 64),
+            ("1.0.7.0/24", 65),
+            ("1.0.7.0/24", 66),  # MOAS
+            ("10.0.0.0/8", 64),  # bogon prefix
+            ("2.0.0.0/24", 64512),  # reserved origin
+            ("2.0.0.0/24", 67),
+        )
+        from_ribs = IPToASMap.from_ribs([rib("a", *((p, asn, 1.0) for p, asn in rows))])
+        from_pairs = IPToASMap.from_pairs(
+            (IPv4Prefix.parse(prefix), asn) for prefix, asn in rows
+        )
+        assert from_pairs.prefixes() == from_ribs.prefixes() == tuple(
+            IPv4Prefix.parse(text) for text in ("1.0.0.0/16", "1.0.7.0/24", "2.0.0.0/24")
+        )
+        for prefix in from_ribs.prefixes():
+            assert from_pairs.lookup(prefix.first) == from_ribs.lookup(prefix.first)
+        assert from_pairs.lookup(IPv4Address.parse("1.0.7.1")) == {65, 66}
+        assert from_pairs.lookup(IPv4Address.parse("2.0.0.1")) == {67}
+        assert from_pairs.prefix_count == from_ribs.prefix_count == 3
+        assert from_pairs.moas_prefixes() == from_ribs.moas_prefixes()
+
     def test_covered_fraction(self):
         mapping = IPToASMap.from_ribs([rib("a", ("1.0.0.0/24", 64, 1.0))])
         assert mapping.covered_fraction_of(512) == pytest.approx(0.5)

@@ -79,3 +79,20 @@ class TestFileBackedPipeline:
                         hypergiant, snapshot)
                 assert file_result.as_count(hypergiant, snapshot, "confirmed") == \
                     world_result.as_count(hypergiant, snapshot, "confirmed")
+
+
+class TestOneSnapshotInFlight:
+    def test_a_serial_run_holds_only_the_last_snapshot(self, dataset_dir):
+        dataset = FileDataset(dataset_dir)
+        options = PipelineOptions(header_learning_snapshot=SNAPSHOTS[1])
+        OffnetPipeline(dataset, options).run()
+        assert list(dataset._scan_cache) == [("rapid7", SNAPSHOTS[-1])]
+        assert list(dataset._ip2as_cache) == [SNAPSHOTS[-1]]
+        last = dataset._scan_cache["rapid7", SNAPSHOTS[-1]]
+        assert dataset._chain_pool == {
+            chain.end_entity.fingerprint: chain for chain in last.store.chains
+        }
+        assert all(
+            dataset._chain_pool[chain.end_entity.fingerprint] is chain
+            for chain in last.store.chains
+        )

@@ -133,19 +133,19 @@ class TestCostProbes:
         with pytest.raises(FileNotFoundError):
             jsonl.shard_cost("rapid7", Snapshot(1999, 1))
 
-    def test_scan_for_shard_serves_identical_data(self, datasets):
-        _, rcc = datasets
-        snapshot = rcc.snapshots[-1]
-        via_shard = rcc.scan_for_shard("rapid7", snapshot)
-        fresh = FileDataset(rcc.directory).scan("rapid7", snapshot)
-        assert via_shard.store.stats() == fresh.store.stats()
-
-    def test_scan_for_shard_keeps_one_cached_store(self, datasets):
+    def test_scan_keeps_one_store_unless_asked_for_more(self, datasets):
         _, rcc = datasets
         dataset = FileDataset(rcc.directory)
-        for snapshot in dataset.snapshots[:3]:
-            dataset.scan_for_shard("rapid7", snapshot)
-        assert len(dataset._scan_cache) == 1
+        first, second, third = dataset.snapshots[:3]
+        for snapshot in (first, second, third):
+            dataset.scan("rapid7", snapshot)
+        assert list(dataset._scan_cache) == [("rapid7", third)]
+        assert dataset.scan("rapid7", third) is dataset._scan_cache["rapid7", third]
+        for snapshot in (first, second, third):
+            dataset.scan("rapid7", snapshot, cache_size=3)
+        assert list(dataset._scan_cache) == [
+            ("rapid7", first), ("rapid7", second), ("rapid7", third)
+        ]
 
     def test_trim_for_fork_clears_scan_cache_keeps_chain_pool(self, datasets):
         _, rcc = datasets

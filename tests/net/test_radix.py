@@ -101,3 +101,31 @@ class TestRadixProperties:
             table[prefix] = value
         assert dict(tree.items()) == table
         assert len(tree) == len(table)
+
+    @given(st.lists(st.tuples(prefixes, st.integers()), max_size=40))
+    def test_items_in_export_order(self, entries):
+        """Address order, a covering prefix before its more-specifics —
+        the order ``export_dataset`` writes a table in."""
+        tree = RadixTree()
+        table = {}
+        for prefix, value in entries:
+            tree.insert(prefix, value)
+            table[prefix] = value
+        expected = sorted(table.items(), key=lambda item: (item[0].network, item[0].length))
+        assert list(tree.items()) == expected
+
+    @given(st.lists(prefixes, max_size=40))
+    def test_covered_space_is_the_interval_union(self, inserted):
+        tree = RadixTree()
+        for prefix in inserted:
+            tree.insert(prefix, None)
+        # Cut the address line at every interval end; an elementary
+        # segment counts when any inserted interval spans it.
+        intervals = [(p.network, p.network + p.num_addresses) for p in inserted]
+        cuts = sorted({point for interval in intervals for point in interval})
+        covered = sum(
+            high - low
+            for low, high in zip(cuts, cuts[1:])
+            if any(start <= low and high <= stop for start, stop in intervals)
+        )
+        assert tree.covered_space() == covered

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import OffnetPipeline, PipelineOptions
 from repro.net import IPv4Address, is_bogon
 from repro.scan.server import ServerKind
 from repro.timeline import NETFLIX_HTTP_ERA, STUDY_SNAPSHOTS, Snapshot
@@ -60,6 +61,28 @@ class TestWorldInvariants:
         a = small_world.scan("rapid7", END)
         b = small_world.scan("rapid7", END)
         assert a is b
+
+    def test_a_serial_run_holds_only_the_last_snapshot(self, small_world):
+        snapshots = (Snapshot(2019, 10), Snapshot(2020, 10), Snapshot(2021, 4))
+        options = PipelineOptions(header_learning_snapshot=snapshots[1])
+        OffnetPipeline(small_world, options).run(snapshots=snapshots)
+        assert list(small_world._scan_cache) == [("rapid7", snapshots[-1])]
+        assert list(small_world._ip2as_cache) == [snapshots[-1]]
+        assert list(small_world._rib_cache) == [snapshots[-1]]
+
+    def test_rebuilt_ribs_and_maps_are_identical(self, small_world):
+        ribs = small_world.ribs(START)
+        mapping = small_world.ip2as(START)
+        small_world.ip2as(END)
+        assert small_world.ribs(START) is not ribs
+        assert small_world.ribs(START) == ribs
+        rebuilt = small_world.ip2as(START)
+        assert rebuilt is not mapping
+        assert rebuilt.prefixes() == mapping.prefixes()
+        assert all(
+            rebuilt.lookup(prefix.first) == mapping.lookup(prefix.first)
+            for prefix in mapping.prefixes()
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
