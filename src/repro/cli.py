@@ -31,18 +31,16 @@ from the signal registry (:func:`repro.core.signals.signal_names`), and
 :mod:`repro.core.signals.policy`).  The defaults reproduce the paper's
 header-only confirmation bit for bit.
 
-Every world-backed command builds the same deterministic world from
+Every world-backed command (``run``, ``validate``, ``coverage``,
+``growth``, ``dump``, ``export``) builds the same deterministic world from
 ``--seed``/``--scale``; ``run --dir`` drives the identical pipeline from an
-exported dataset directory instead.
-
-Global options are accepted before *or* after the subcommand:
-
-* ``--seed`` / ``--scale`` — world determinism and size;
-* ``--jobs N`` — run the pure per-snapshot pipeline phase across N worker
-  processes (:mod:`repro.core.executor`); ``--jobs 0`` auto-sizes to one
-  worker per CPU core.  The cross-snapshot merge is an ordered reduction,
-  so any ``--jobs`` value prints identical numbers; N > 1 simply uses
-  more cores.
+exported dataset directory instead.  The commands that run the pipeline
+(``run``, ``validate``, ``coverage``, ``growth``) also take ``--jobs N``:
+map the pure per-snapshot phase over N worker processes
+(:mod:`repro.core.executor`); ``--jobs 0`` auto-sizes to one worker per CPU
+core.  The cross-snapshot merge is an ordered reduction, so any ``--jobs``
+value prints identical numbers; N > 1 simply uses more cores.  Every flag
+goes after its subcommand's name.
 
 ``run`` additionally takes ``--header-learning-snapshot YYYY-MM`` (§4.4):
 by default the paper's September 2020 corpus is used, falling back to a
@@ -74,8 +72,8 @@ named spec's world (mid-timeline events included) and runs the full
 pipeline over it, and ``assess`` scores the built world against the
 paper's distributions (the same scorer as ``tools/assess_realism.py``).
 Unlike the other subcommands, ``scenario`` resolves ``--seed``/``--scale``
-from the *spec* when the flags are not given after the verb — pass them
-after the verb (``repro scenario run --name toy --seed 11``) to override.
+from the *spec* when the flags are not given — pass them after the verb
+(``repro scenario run --name toy --seed 11``) to override.
 
 ``serve`` keeps a persistent :mod:`repro.serve` footprint index in
 ``--state-dir`` in sync with ``--dir`` (only new or changed snapshots
@@ -93,6 +91,7 @@ from repro.analysis import build_table3, render_table
 from repro.analysis.coverage import country_coverage, worldwide_coverage
 from repro.core import OffnetPipeline, PipelineOptions, restore_netflix
 from repro.core.signals import policy_names, signal_names
+from repro.core.stages import TERMINAL_STAGES
 from repro.hypergiants.profiles import TOP4
 from repro.datasets.formats import format_names, get_format
 from repro.robustness import CorpusParseError
@@ -106,27 +105,23 @@ __all__ = ["main", "build_parser"]
 PAPER_LEARNING_SNAPSHOT = PipelineOptions().header_learning_snapshot
 
 
-def _add_globals(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
-    """``--seed``/``--scale``/``--jobs``, valid before and after the
-    subcommand.  The top-level parser holds the real defaults; subcommand
-    copies use ``SUPPRESS`` so they only override when given."""
-
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
-
-    parser.add_argument(
-        "--seed", type=int, default=default(7), help="world seed (default 7)"
-    )
+def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--seed``/``--scale``, for a command that builds a world."""
+    parser.add_argument("--seed", type=int, default=7, help="world seed (default 7)")
     parser.add_argument(
         "--scale",
         type=float,
-        default=default(0.02),
+        default=0.02,
         help="Internet scale factor (default 0.02)",
     )
+
+
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``, for a command that runs the pipeline."""
     parser.add_argument(
         "--jobs",
         type=int,
-        default=default(1),
+        default=1,
         metavar="N",
         help="worker processes for the per-snapshot phase (default 1; "
         "0 = one worker per CPU core; output is identical for any N)",
@@ -157,7 +152,8 @@ def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``run`` argument set."""
-    _add_globals(parser)
+    _add_world_arguments(parser)
+    _add_jobs_argument(parser)
     _add_confirm_arguments(parser)
     parser.add_argument(
         "--dir",
@@ -175,16 +171,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="YYYY-MM",
         help="§4.4 header-learning snapshot (default: the paper's 2020-10 "
         "when covered, else a file dataset's last snapshot)",
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="snapshots per worker shard for parallel runs (default: "
-        "cost-balance the snapshots into --jobs contiguous shards, "
-        "probing per-file ingest cost from corpus headers); output is "
-        "identical for any shard geometry",
     )
     parser.add_argument(
         "--report",
@@ -245,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of 'Seven Years in the Life of Hypergiants' Off-Nets'",
     )
-    _add_globals(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
@@ -256,21 +241,24 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="survey-style validation against ground truth"
     )
-    _add_globals(validate)
+    _add_world_arguments(validate)
+    _add_jobs_argument(validate)
 
     coverage = sub.add_parser("coverage", help="user-population coverage (§6.5)")
-    _add_globals(coverage)
+    _add_world_arguments(coverage)
+    _add_jobs_argument(coverage)
     coverage.add_argument("--hypergiant", default="google")
     coverage.add_argument(
         "--cones", action="store_true", help="also serve hosting ASes' customer cones"
     )
 
     growth = sub.add_parser("growth", help="off-net AS growth series (Fig. 3)")
-    _add_globals(growth)
+    _add_world_arguments(growth)
+    _add_jobs_argument(growth)
     growth.add_argument("--hypergiant", default="google")
 
     dump = sub.add_parser("dump", help="write one scan snapshot to a corpus file")
-    _add_globals(dump)
+    _add_world_arguments(dump)
     dump.add_argument("--corpus", default="rapid7", choices=("rapid7", "censys", "certigo"))
     dump.add_argument("--snapshot", default="2019-10", help="YYYY-MM")
     dump.add_argument("--out", required=True, help="output path")
@@ -285,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="export corpuses + support datasets to a directory"
     )
-    _add_globals(export)
+    _add_world_arguments(export)
     export.add_argument("--dir", required=True, help="output directory")
     export.add_argument(
         "--corpus", action="append", default=None, help="corpus name (repeatable)"
@@ -307,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="watch a dataset dir, keep a persistent footprint index "
         "current, and answer HTTP queries",
     )
-    _add_globals(serve)
     _add_confirm_arguments(serve)
     serve.add_argument(
         "--dir", required=True, help="exported dataset directory to watch"
@@ -388,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario name from the registry (default: paper-default; "
         "see `repro scenario list`)",
     )
-    # Unlike the shared globals, None (not SUPPRESS) is deliberate here:
-    # "flag not given" must stay observable so the spec's own defaults
-    # decide — `scenario run --name toy` builds at the toy scale.
+    # None, not a fixed default: "flag not given" must stay observable
+    # so the spec's own defaults decide — `scenario run --name toy`
+    # builds at the toy scale.
     scenario.add_argument(
         "--seed",
         type=int,
@@ -434,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser(
         "query", help="query a running serve daemon and print the JSON answer"
     )
-    _add_globals(query)
     query.add_argument(
         "--url",
         default=None,
@@ -543,7 +529,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     overrides: dict = {
         "jobs": args.jobs,
-        "shard_size": args.shard_size,
         "cache_dir": args.cache_dir,
         "on_error": args.on_error,
         "quarantine_dir": args.quarantine_dir,
@@ -657,21 +642,13 @@ def _run_stages_only(pipeline: OffnetPipeline, spec: str) -> int:
 def _print_resume_probe(pipeline: OffnetPipeline) -> None:
     """``--resume``: say what the cache already holds before running."""
     probe = pipeline.probe_cache()
-    total = len(probe)
     complete = sum(
-        1
-        for stages in probe.values()
-        if all(stages[name] for name in ("ingest", "vstats", "onnet",
-                                         "candidates", "confirm", "netflix"))
+        all(stages[name] for name in TERMINAL_STAGES) for stages in probe.values()
     )
-    partial = sum(
-        1
-        for stages in probe.values()
-        if any(stages.values()) and stages not in ({},)
-    ) - complete
+    partial = sum(any(stages.values()) for stages in probe.values()) - complete
     print(
-        f"resume: {complete}/{total} snapshots fully cached, "
-        f"{max(partial, 0)} partially; recomputing the rest"
+        f"resume: {complete}/{len(probe)} snapshots fully cached, "
+        f"{partial} partially; recomputing the rest"
     )
 
 
@@ -802,7 +779,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         options = PipelineOptions(
             corpus=corpus,
             header_learning_snapshot=learning,
-            jobs=args.jobs,
             on_error=args.on_error,
             quarantine_dir=args.quarantine_dir,
             **_confirm_overrides(args),

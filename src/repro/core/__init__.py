@@ -48,12 +48,7 @@ registry, the merge barrier folds the registries in snapshot order, and
 from repro.core.candidates import find_candidates
 from repro.core.cloudflare import is_cloudflare_customer_cert
 from repro.core.confirm import EDGE_CDNS, confirm_candidates
-from repro.core.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    SnapshotExecutor,
-    make_executor,
-)
+from repro.core.executor import ParallelExecutor, SerialExecutor, make_executor
 from repro.core.footprint import (
     FootprintIndex,
     FootprintSnapshot,
@@ -101,7 +96,6 @@ __all__ = [
     "DurableFootprintIndex",
     "OffnetPipeline",
     "PipelineOptions",
-    "SnapshotExecutor",
     "SerialExecutor",
     "ParallelExecutor",
     "make_executor",

@@ -1,36 +1,30 @@
-"""Snapshot execution strategies: serial and sharded multi-process parallel.
+"""Snapshot execution: serial, or sharded over forked worker processes.
 
 The longitudinal pipeline factors into a *pure* per-snapshot phase
 (:meth:`~repro.core.pipeline.OffnetPipeline.run_snapshot`, returning a
 picklable :class:`~repro.core.footprint.SnapshotOutcome`) and a cheap
 ordered merge (:meth:`~repro.core.pipeline.OffnetPipeline.merge_outcomes`).
-A :class:`SnapshotExecutor` decides how the pure phase is mapped over the
-snapshots:
+``PipelineOptions.jobs`` decides how the pure phase is mapped over the
+snapshots (:func:`make_executor`):
 
 * :class:`SerialExecutor` — one snapshot after another in the calling
   process (``jobs=1``, the default);
 * :class:`ParallelExecutor` — a ``fork``-based
   :class:`concurrent.futures.ProcessPoolExecutor` over **shards**:
   contiguous, cost-balanced snapshot groups planned by
-  :meth:`~repro.core.pipeline.OffnetPipeline.shard_plan`.  One pool task
-  per shard (not per snapshot) amortizes submission and pickle overhead,
-  and a worker ingests only its own shard's corpus files.
+  :meth:`~repro.core.pipeline.OffnetPipeline.shard_plan`, one per
+  worker.  One pool task per shard (not per snapshot) amortizes
+  submission and pickle overhead, and a worker ingests only its own
+  shard's corpus files.
 
 Before forking, the parent drops what workers must not inherit
 (:meth:`~repro.core.pipeline.OffnetPipeline.trim_for_fork` — e.g. the
 §4.4 learning snapshot's store a file-backed source still holds, which
-would otherwise be copy-on-write duplicated into every child); each
-worker then ships home only *light* cargo: picklable outcomes, light
-stage artifacts for the parent's cache
-(:meth:`~repro.core.pipeline.OffnetPipeline.seed_artifacts`),
-and a small stats fragment (peak RSS, snapshot count) that surfaces in
-:meth:`ParallelExecutor.describe`.  Heavy per-row artifacts (the §4.2
-match rows) never ride the pickle channel — workers of a shared
-``--cache-dir`` run exchange those through the atomic on-disk tier
-instead, and the §4.1 validated-record list is recomputed, never
-stored.  A worker of a ``--cache-dir`` run has already written every
-artifact it ships to that shared disk tier, so the parent adopts the
-shipped copies into its memory tier only.
+would otherwise be copy-on-write duplicated into every child).  Each
+worker returns only its outcomes and a small stats fragment (peak RSS,
+snapshot count) that surfaces in :meth:`ParallelExecutor.describe`.  The
+stage artifacts a worker computes outlive it only on a ``--cache-dir``
+run, in the disk tier every worker shares; its memory tier dies with it.
 
 Because shards partition the snapshots *in order* and the merge is an
 explicit ordered reduction over the flattened outcomes, both executors
@@ -58,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import OffnetPipeline
 
 __all__ = [
-    "SnapshotExecutor",
     "SerialExecutor",
     "ParallelExecutor",
     "make_executor",
@@ -69,46 +62,25 @@ __all__ = [
 _worker_pipeline: "OffnetPipeline | None" = None
 
 
-def _run_shard_job(shard: Shard) -> tuple[list[SnapshotOutcome], list, dict]:
+def _run_shard_job(shard: Shard) -> tuple[list[SnapshotOutcome], dict]:
     """Module-level worker entry point (must be picklable by reference).
 
-    Runs every snapshot of one shard in order and returns the outcomes,
-    the light stage artifacts this worker computed (for the parent to
-    seed its cache with — cache hits ship across the fork boundary
-    instead of dying with the worker), and a per-worker stats fragment
-    for the scaling bench (peak RSS via ``ru_maxrss``, KB on Linux).
+    Runs every snapshot of one shard in order and returns the outcomes
+    plus a per-worker stats fragment (peak RSS via ``ru_maxrss``, KB on
+    Linux).
     """
     assert _worker_pipeline is not None, "worker forked without a pipeline"
-    outcomes, shipped = _worker_pipeline.run_shard(shard)
+    outcomes = _worker_pipeline.run_shard(shard)
     stats = {
         "shard": shard.index,
         "snapshots": len(shard.snapshots),
         "pid": os.getpid(),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
-    return outcomes, shipped, stats
+    return outcomes, stats
 
 
-class SnapshotExecutor:
-    """Strategy interface: map the pure phase over many snapshots."""
-
-    def map_snapshots(
-        self, pipeline: "OffnetPipeline", snapshots: Sequence[Snapshot]
-    ) -> list[SnapshotOutcome]:
-        """One :class:`SnapshotOutcome` per snapshot, in input order."""
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        """Executor metadata for the run report's ``executor`` section.
-
-        Reflects the *last* :meth:`map_snapshots` call, so a parallel
-        executor that fell back to serial execution says so.  This
-        section is environmental, never part of the deterministic view.
-        """
-        raise NotImplementedError
-
-
-class SerialExecutor(SnapshotExecutor):
+class SerialExecutor:
     """Run every snapshot in the calling process, in order."""
 
     def map_snapshots(
@@ -119,7 +91,8 @@ class SerialExecutor(SnapshotExecutor):
         return [pipeline.run_snapshot(snapshot) for snapshot in snapshots]
 
     def describe(self) -> dict:
-        """Serial execution is always one in-process worker."""
+        """The run report's ``executor`` section: serial execution is
+        always one in-process worker."""
         return {
             "kind": "serial",
             "jobs": 1,
@@ -129,18 +102,13 @@ class SerialExecutor(SnapshotExecutor):
         }
 
 
-class ParallelExecutor(SnapshotExecutor):
+class ParallelExecutor:
     """Fan shards of the pure phase out to ``jobs`` forked workers."""
 
-    def __init__(self, jobs: int, shard_size: int | None = None) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 2:
             raise ValueError(f"ParallelExecutor needs jobs >= 2, got {jobs}")
-        if shard_size is not None and shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self.jobs = jobs
-        #: Fixed snapshots-per-shard override (the CLI's ``--shard-size``);
-        #: ``None`` lets the plan cost-balance into ``jobs`` shards.
-        self.shard_size = shard_size
         #: Workers the last map actually used (0 before the first map).
         self.last_workers = 0
         #: Whether the last map fell back to in-process serial execution.
@@ -157,7 +125,7 @@ class ParallelExecutor(SnapshotExecutor):
     ) -> list[SnapshotOutcome]:
         """Map the pure phase over a forked process pool, one task per
         planned shard, preserving snapshot order; falls back to serial
-        for trivial inputs or when ``fork`` is unavailable.
+        for fewer than two snapshots or when ``fork`` is unavailable.
 
         Worker outcomes carry their own per-snapshot metrics registries
         home through pickling; the pipeline folds them at the
@@ -171,13 +139,7 @@ class ParallelExecutor(SnapshotExecutor):
         if len(snapshots) < 2 or "fork" not in multiprocessing.get_all_start_methods():
             self.last_workers, self.last_fallback = 1, True
             return SerialExecutor().map_snapshots(pipeline, snapshots)
-        plan = pipeline.shard_plan(
-            snapshots, jobs=self.jobs, shard_size=self.shard_size
-        )
-        if len(plan.shards) < 2:
-            # One shard would be serial work plus fork overhead.
-            self.last_workers, self.last_fallback = 1, True
-            return SerialExecutor().map_snapshots(pipeline, snapshots)
+        plan = pipeline.shard_plan(snapshots, jobs=self.jobs)
         self.last_plan = plan.describe()
         self.last_shards = len(plan.shards)
         # Drop parent state workers must not duplicate (a held store);
@@ -187,17 +149,12 @@ class ParallelExecutor(SnapshotExecutor):
         _worker_pipeline = pipeline
         try:
             context = multiprocessing.get_context("fork")
-            workers = min(self.jobs, len(plan.shards))
-            self.last_workers, self.last_fallback = workers, False
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            self.last_workers, self.last_fallback = self.last_shards, False
+            with ProcessPoolExecutor(
+                max_workers=self.last_shards, mp_context=context
+            ) as pool:
                 outcomes: list[SnapshotOutcome] = []
-                for shard_outcomes, shipped, stats in pool.map(
-                    _run_shard_job, plan.shards
-                ):
-                    # Adopt the worker's light artifacts: a later run in
-                    # this process (an ablation flip, a warm re-run) hits
-                    # them instead of recomputing.
-                    pipeline.seed_artifacts(shipped)
+                for shard_outcomes, stats in pool.map(_run_shard_job, plan.shards):
                     self.last_worker_stats.append(stats)
                     outcomes.extend(shard_outcomes)
                 return outcomes
@@ -205,13 +162,14 @@ class ParallelExecutor(SnapshotExecutor):
             _worker_pipeline = None
 
     def describe(self) -> dict:
-        """Requested jobs plus what the last map actually did: workers
-        used, fallback status, the shard plan and per-worker stats —
-        all environmental metadata, safe to vary across runs."""
+        """The run report's ``executor`` section: requested jobs plus
+        what the last map actually did (workers used, fallback status,
+        the shard plan and per-worker stats).  All of it is
+        environmental metadata, safe to vary across runs and never part
+        of the deterministic view."""
         return {
             "kind": "parallel",
             "jobs": self.jobs,
-            "shard_size": self.shard_size,
             "workers": self.last_workers,
             "fallback_serial": self.last_fallback,
             "shards": self.last_shards,
@@ -221,13 +179,12 @@ class ParallelExecutor(SnapshotExecutor):
         }
 
 
-def make_executor(jobs: int, shard_size: int | None = None) -> SnapshotExecutor:
-    """The executor for a ``PipelineOptions(jobs=..., shard_size=...)``
-    setting.
+def make_executor(jobs: int) -> SerialExecutor | ParallelExecutor:
+    """The executor for a ``PipelineOptions(jobs=...)`` setting.
 
     ``jobs=0`` auto-sizes to one worker per CPU core (``os.cpu_count()``);
-    ``jobs=1`` is serial; ``jobs=N`` forks N workers over a cost-balanced
-    shard plan (``shard_size`` fixes snapshots-per-shard instead).
+    ``jobs=1`` is serial; ``jobs=N`` forks up to N workers, one per
+    shard of a cost-balanced plan.
     """
     if jobs < 0:
         raise ValueError(
@@ -237,4 +194,4 @@ def make_executor(jobs: int, shard_size: int | None = None) -> SnapshotExecutor:
         jobs = os.cpu_count() or 1
     if jobs == 1:
         return SerialExecutor()
-    return ParallelExecutor(jobs, shard_size)
+    return ParallelExecutor(jobs)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from repro.core.candidates import Candidate
 from repro.core.confirm import confirm_candidates
-from repro.core.executor import SnapshotExecutor, make_executor
+from repro.core.executor import make_executor
 from repro.core.footprint import FootprintSnapshot, PipelineResult, SnapshotOutcome
 from repro.core.gcpause import gc_paused
 from repro.core.header_fingerprint import learn_header_fingerprints
@@ -90,9 +90,9 @@ class PipelineOptions:
     * **methodology switches** (``validate_certificates``,
       ``require_all_dnsnames``, ``header_confirmation``, ...) — each
       maps to one §4 rule and changes the inferred numbers;
-    * **execution knobs** (``jobs``, ``shard_size``, ``cache_dir``,
-      ``quarantine_dir``) — change how the run executes, never what it
-      computes; results are bit-identical across their settings;
+    * **execution knobs** (``jobs``, ``cache_dir``, ``quarantine_dir``) —
+      change how the run executes, never what it computes; results are
+      bit-identical across their settings;
     * **ingestion policy** (``on_error``) — methodology on a dirty
       corpus (it decides which records are inferred from), a no-op on
       a clean one.
@@ -130,12 +130,6 @@ class PipelineOptions:
     #: a process pool; 0 = auto, one worker per CPU core; output is
     #: identical for every setting).
     jobs: int = 1
-    #: Snapshots per shard for the parallel executor (the CLI's
-    #: ``--shard-size``).  ``None`` (the default) lets the planner
-    #: cost-balance the snapshots into ``jobs`` contiguous shards; a
-    #: fixed size forces that granularity instead.  Like ``jobs``, an
-    #: execution knob: results are bit-identical for every setting.
-    shard_size: int | None = None
     #: Directory for the on-disk stage-artifact cache (the CLI's
     #: ``--cache-dir``).  ``None`` keeps artifacts in memory only.  Like
     #: ``jobs``, this is an execution detail: results are bit-identical
@@ -164,10 +158,6 @@ class PipelineOptions:
                 f"PipelineOptions.jobs must be >= 0, got {self.jobs} "
                 "(0 selects one worker per CPU core, 1 runs serially, "
                 "N > 1 forks N workers)"
-            )
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ValueError(
-                f"PipelineOptions.shard_size must be >= 1, got {self.shard_size}"
             )
         if not isinstance(self.signals, tuple):
             object.__setattr__(self, "signals", tuple(self.signals))
@@ -295,33 +285,26 @@ class OffnetPipeline:
 
     # -- public API ------------------------------------------------------------
 
-    def run(
-        self,
-        snapshots: tuple[Snapshot, ...] | None = None,
-        executor: SnapshotExecutor | None = None,
-    ) -> PipelineResult:
+    def run(self, snapshots: tuple[Snapshot, ...] | None = None) -> PipelineResult:
         """Run the full pipeline over ``snapshots`` (default: all the corpus
         offers) and return the longitudinal result.
 
-        The per-snapshot phase is mapped by ``executor`` (default: the one
-        ``options.jobs`` selects), then merged in snapshot order.  The
-        cycle collector is paused over §4.4 learning and the map (see
+        The per-snapshot phase is mapped by the executor ``options.jobs``
+        selects, then merged in snapshot order.  The cycle collector is
+        paused over §4.4 learning and the map (see
         :mod:`repro.core.gcpause`); workers forked there inherit the
         pause.
         """
         snapshots = self.select_snapshots(snapshots)
-        if executor is None:
-            executor = make_executor(self.options.jobs, self.options.shard_size)
+        executor = make_executor(self.options.jobs)
         # Every value of this phase dies by reference count, so the
         # cycle collector would only re-traverse the live heap.
         with gc_paused():
             self._learn_unless_cached(snapshots, RULE_STAGES)
             outcomes = executor.map_snapshots(self, snapshots)
-        try:
-            executor_meta = executor.describe()
-        except NotImplementedError:  # a user-supplied bare strategy
-            executor_meta = {"kind": type(executor).__name__}
-        return self.merge_outcomes(snapshots, outcomes, executor_meta=executor_meta)
+        return self.merge_outcomes(
+            snapshots, outcomes, executor_meta=executor.describe()
+        )
 
     def select_snapshots(
         self, snapshots: tuple[Snapshot, ...] | None = None
@@ -413,19 +396,6 @@ class OffnetPipeline:
             merged.merge(registry)
         return merged
 
-    def seed_artifacts(self, shipped: list[tuple[str, str, object]]) -> None:
-        """Adopt light artifacts computed elsewhere (a forked worker's
-        homeward shipment) into this process's cache.
-
-        A tiered cache adopts them into its memory tier only: the worker
-        that shipped them shares the disk tier and already wrote them
-        there."""
-        cache = self._cache
-        if isinstance(cache, TieredCache):
-            cache = cache.memory
-        for key, _stage, artifact in shipped:
-            cache.put(key, artifact)  # type: ignore[arg-type]
-
     # -- the shard surface (the parallel executor's unit of work) ----------------
 
     def shard_plan(
@@ -433,7 +403,6 @@ class OffnetPipeline:
         snapshots: tuple[Snapshot, ...] | None = None,
         *,
         jobs: int | None = None,
-        shard_size: int | None = None,
     ) -> ShardPlan:
         """Partition a run's snapshots into contiguous, cost-balanced
         shards for ``jobs`` workers (see :func:`~repro.datasets.plan_shards`).
@@ -449,8 +418,6 @@ class OffnetPipeline:
         snapshots = self.select_snapshots(snapshots)
         if jobs is None:
             jobs = max(self.options.jobs, 1)
-        if shard_size is None:
-            shard_size = self.options.shard_size
         costs: list[float] | None = None
         probe = getattr(self.source, "shard_cost", None)
         if probe is not None:
@@ -460,24 +427,12 @@ class OffnetPipeline:
                 ]
             except (FileNotFoundError, OSError):
                 costs = None
-        return plan_shards(snapshots, costs, jobs=jobs, shard_size=shard_size)
+        return plan_shards(snapshots, costs, jobs=jobs)
 
-    def run_shard(self, shard: Shard) -> tuple[list[SnapshotOutcome], list]:
+    def run_shard(self, shard: Shard) -> list[SnapshotOutcome]:
         """Run one shard's snapshots in order — the parallel executor's
-        per-worker task body.  Returns the outcomes plus the light stage
-        artifacts the shard computed, deduplicated by key (snapshots of
-        one shard can share e.g. the learned-rules artifact)."""
-        outcomes: list[SnapshotOutcome] = []
-        shipment: list[tuple[str, str, object]] = []
-        seen: set[str] = set()
-        for snapshot in shard.snapshots:
-            outcome, shipped = self._run_snapshot_shipping(snapshot)
-            outcomes.append(outcome)
-            for key, stage, artifact in shipped:
-                if key not in seen:
-                    seen.add(key)
-                    shipment.append((key, stage, artifact))
-        return outcomes, shipment
+        per-worker task body."""
+        return [self.run_snapshot(snapshot) for snapshot in shard.snapshots]
 
     def trim_for_fork(self) -> None:
         """Drop state forked workers must not inherit copy-on-write —
@@ -612,25 +567,15 @@ class OffnetPipeline:
         original computation recorded, so the funnel is bit-identical
         whether a stage ran or hit.
         """
-        outcome, _ = self._run_snapshot_shipping(snapshot, ship=False)
-        return outcome
-
-    def _run_snapshot_shipping(
-        self, snapshot: Snapshot, ship: bool = True
-    ) -> tuple[SnapshotOutcome, list]:
-        """:meth:`run_snapshot` plus the light artifacts the run computed,
-        for the parallel executor to carry across the fork boundary."""
         registry = MetricsRegistry()
-        shipment: list | None = [] if ship else None
         values = self._graph.execute(
             StageContext(pipeline=self, snapshot=snapshot, options=self.options),
             self.snapshot_token(snapshot),
             registry,
             cache=self._cache,
             targets=TERMINAL_STAGES,
-            shipment=shipment,
         )
-        return assemble_outcome(snapshot, values, registry), shipment or []
+        return assemble_outcome(snapshot, values, registry)
 
     # -- the ordered cross-snapshot merge ------------------------------------------
 
@@ -690,13 +635,13 @@ class OffnetPipeline:
         """The methodology switches for the run report's ``options``
         section — also the options identity the serve layer's delta
         ingestor mixes into index tokens (changed methodology must
-        invalidate indexed outcomes).  ``jobs``, ``shard_size``, ``cache_dir`` and
-        ``quarantine_dir`` are
-        deliberately absent: they are execution details (reported under
-        ``executor`` / the cache counters / the ``ingest`` section), and
-        the deterministic view must compare equal across ``jobs`` and
-        cache configurations.  ``on_error`` *is* present: on a dirty
-        corpus it changes which records the run infers from."""
+        invalidate indexed outcomes).  ``jobs``, ``cache_dir`` and
+        ``quarantine_dir`` are deliberately absent: they are execution
+        details (reported under ``executor`` / the cache counters / the
+        ``ingest`` section), and the deterministic view must compare
+        equal across ``jobs`` and cache configurations.  ``on_error``
+        *is* present: on a dirty corpus it changes which records the run
+        infers from."""
         options = self.options
         return {
             "corpus": options.corpus,

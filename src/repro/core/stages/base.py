@@ -94,8 +94,7 @@ class Stage:
     #: root stage is not: its value is the live store object; nor is
     #: §4.1 validation, which recomputes faster than it unpickles).
     cacheable: bool = True
-    #: Heavy artifacts (per-row payloads) skip the memory tier and are
-    #: never shipped across the fork boundary.
+    #: Heavy artifacts (per-row payloads) skip the memory tier.
     heavy: bool = False
     #: Free-form input/output type notes, surfaced by ``--stages list``.
     produces: str = ""
@@ -174,7 +173,6 @@ class StageGraph:
         registry: MetricsRegistry,
         cache: ArtifactCache | None = None,
         targets: Iterable[str] | None = None,
-        shipment: list[tuple[str, str, Any]] | None = None,
     ) -> dict[str, Any]:
         """Force ``targets`` (default: every stage), returning the stage
         values the run touched.
@@ -182,9 +180,8 @@ class StageGraph:
         A cached stage is a *hit*: its value loads, its counter fragment
         merges into ``registry``, and its inputs are never materialized.
         A miss makes its inputs needed; once they exist it runs with a
-        fresh counter fragment, merges + stores the fragment alongside
-        the value, and appends light artifacts to ``shipment`` (the
-        parallel executor's homeward channel).  Cache traffic books into
+        fresh counter fragment and merges + stores the fragment
+        alongside the value.  Cache traffic books into
         ``stage_cache_events{stage=, event=hit|miss|store}``.
 
         Every touched stage observes ``stage_seconds{stage=}`` once: its
@@ -230,11 +227,8 @@ class StageGraph:
             value = stage.run(ctx, {dep: values[dep] for dep in stage.deps}, counters)
             registry.merge(counters)
             if stage.cacheable:
-                artifact = (value, counters.to_dict())
-                cache.put(keys[name], artifact, heavy=stage.heavy)
+                cache.put(keys[name], (value, counters.to_dict()), heavy=stage.heavy)
                 registry.counter(STAGE_CACHE_EVENTS, stage=name, event="store").inc()
-                if shipment is not None and not stage.heavy:
-                    shipment.append((keys[name], name, artifact))
             values[name] = value
             seconds[name] += perf_counter() - start
         for name, elapsed in seconds.items():

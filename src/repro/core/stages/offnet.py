@@ -23,9 +23,9 @@ Design rules the cache correctness rests on:
   depends only on (chain, scan date): the validator's cross-snapshot
   caches recompute the list faster than a pickle of it would load.
 * **Heavy/light split** — ``match``, whose value scales with the corpus
-  row count, is marked ``heavy``: disk-tier only, never shipped across
-  the fork boundary, and *not* consumed by the terminal artifacts, so a
-  warm run reuses the light suffix without unpickling per-row payloads.
+  row count, is marked ``heavy``: disk-tier only, and *not* consumed by
+  the terminal artifacts, so a warm run reuses the light suffix without
+  unpickling per-row payloads.
 * **Funnel counters live in light stages** — every counter the run
   report's deterministic ``funnel`` section reads (``funnel_*``) is
   emitted by a terminal light stage (``ingest``, ``vstats``, ``onnet``,

@@ -37,13 +37,7 @@ from repro.datasets.formats import (
     registered_formats,
     write_corpus,
 )
-from repro.datasets.sharding import (
-    Shard,
-    ShardPlan,
-    merge_stores,
-    partition_store,
-    plan_shards,
-)
+from repro.datasets.sharding import Shard, ShardPlan, plan_shards
 from repro.datasets.source import DataSource
 
 __all__ = [
@@ -57,8 +51,6 @@ __all__ = [
     "export_snapshot",
     "format_names",
     "get_format",
-    "merge_stores",
-    "partition_store",
     "plan_shards",
     "probe_corpus_cost",
     "read_corpus",

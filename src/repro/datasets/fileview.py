@@ -181,17 +181,8 @@ class FileDataset:
         memoised on ``(path, size, mtime_ns)``, so a watcher poll over an
         unchanged dataset costs a handful of ``stat`` calls.
         """
-        corpus_dir = self.directory / "corpora" / name
-        corpus_path = next(
-            (p for p in corpus_candidates(corpus_dir, snapshot.label) if p.exists()),
-            None,
-        )
-        if corpus_path is None:
-            raise FileNotFoundError(
-                f"no {name} corpus for {snapshot} under {corpus_dir}"
-            )
         parts = {
-            "corpus": _file_digest(corpus_path),
+            "corpus": _file_digest(self._corpus_path(name, snapshot)),
             "ip2as": _file_digest(self.directory / "ip2as" / f"{snapshot.label}.tsv"),
             "organizations": _file_digest(self.directory / "organizations.tsv"),
             "anchors": _file_digest(self.directory / "anchors.jsonl"),
@@ -199,6 +190,18 @@ class FileDataset:
         document = json.dumps(parts, sort_keys=True)
         digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
         return f"snapshot-content:{digest}"
+
+    def _corpus_path(self, name: str, snapshot: Snapshot) -> Path:
+        """The file holding one corpus snapshot: the snapshot label
+        resolved against every registered codec suffix (``.rcc`` before
+        ``.jsonl``)."""
+        corpus_dir = self.directory / "corpora" / name
+        for path in corpus_candidates(corpus_dir, snapshot.label):
+            if path.exists():
+                return path
+        raise FileNotFoundError(
+            f"no {name} corpus for {snapshot} under {corpus_dir}"
+        )
 
     # -- loading ----------------------------------------------------------
 
@@ -264,15 +267,7 @@ class FileDataset:
         if cached is not None:
             self._scan_cache.move_to_end(key)
             return cached
-        corpus_dir = self.directory / "corpora" / name
-        path = next(
-            (p for p in corpus_candidates(corpus_dir, snapshot.label) if p.exists()),
-            None,
-        )
-        if path is None:
-            raise FileNotFoundError(
-                f"no {name} corpus for {snapshot} under {corpus_dir}"
-            )
+        path = self._corpus_path(name, snapshot)
         policy = self.ingest_policy
         quarantine_path = None
         if policy.quarantine_dir is not None and not policy.strict:
@@ -299,16 +294,7 @@ class FileDataset:
         :meth:`scan` and probes it via
         :func:`~repro.datasets.formats.probe_corpus_cost` (block headers
         only for ``.rcc``, file size for JSONL)."""
-        corpus_dir = self.directory / "corpora" / name
-        path = next(
-            (p for p in corpus_candidates(corpus_dir, snapshot.label) if p.exists()),
-            None,
-        )
-        if path is None:
-            raise FileNotFoundError(
-                f"no {name} corpus for {snapshot} under {corpus_dir}"
-            )
-        return probe_corpus_cost(path)
+        return probe_corpus_cost(self._corpus_path(name, snapshot))
 
     def trim_for_fork(self) -> None:
         """Drop the scan LRU before the parallel executor forks workers.

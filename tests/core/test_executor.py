@@ -133,12 +133,6 @@ class TestExecutionSurface:
         assert cache.static_hits > 0 and cache.window_hits > 0
         assert 0.0 < cache.hit_rate <= 1.0
 
-    def test_explicit_executor_injection(self, small_world):
-        pipeline = OffnetPipeline(small_world)
-        end = small_world.snapshots[-1]
-        result = pipeline.run(snapshots=(end,), executor=SerialExecutor())
-        assert result.snapshots == (end,)
-
     def test_pure_phase_leaves_restoration_empty(self, small_world):
         """run_snapshot is the pure phase: no cross-snapshot state."""
         pipeline = OffnetPipeline(small_world)
@@ -173,27 +167,17 @@ class TestShardedExecution:
     """The shard plan is an execution detail: any geometry, bit-identical
     results, and the executor's metadata tells the truth about what ran."""
 
-    def test_make_executor_threads_shard_size(self):
-        executor = make_executor(4, shard_size=2)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.shard_size == 2
-        with pytest.raises(ValueError, match="shard_size"):
-            ParallelExecutor(4, shard_size=0)
-
-    def test_options_validate_shard_size(self):
-        with pytest.raises(ValueError, match="shard_size"):
-            PipelineOptions(shard_size=0)
-
     def test_uneven_shards_identical_to_serial(self):
-        # shard_size=2 over 7 snapshots → shards of 2/2/2/1: the merge
-        # barrier must flatten uneven shard outcomes back to run order.
+        # jobs=4 over 7 uniform-cost snapshots → shards of 2/2/2/1: the
+        # merge barrier must flatten uneven shard outcomes back to run
+        # order.
         world = build_world(seed=7, scale=0.008)
         serial = OffnetPipeline(world, PipelineOptions(jobs=1)).run(
             snapshots=SNAPSHOTS
         )
-        sharded = OffnetPipeline(
-            world, PipelineOptions(jobs=3, shard_size=2)
-        ).run(snapshots=SNAPSHOTS)
+        sharded = OffnetPipeline(world, PipelineOptions(jobs=4)).run(
+            snapshots=SNAPSHOTS
+        )
         assert serial == sharded
         executor = sharded.run_meta["executor"]
         assert executor["shards"] == 4
@@ -203,10 +187,13 @@ class TestShardedExecution:
 
     def test_describe_reports_plan_and_worker_stats(self):
         world = build_world(seed=7, scale=0.008)
-        executor = ParallelExecutor(4)
-        OffnetPipeline(world).run(snapshots=SNAPSHOTS, executor=executor)
-        meta = executor.describe()
-        assert meta["shards"] == len(meta["shard_plan"]) > 1
+        result = OffnetPipeline(world, PipelineOptions(jobs=3)).run(
+            snapshots=SNAPSHOTS
+        )
+        meta = result.run_meta["executor"]
+        assert meta["fallback_serial"] is False
+        assert meta["shards"] == meta["workers"] == min(3, len(SNAPSHOTS))
+        assert len(meta["shard_plan"]) == meta["shards"]
         planned = [s for row in meta["shard_plan"] for s in row["snapshots"]]
         assert planned == [s.label for s in SNAPSHOTS]
         assert len(meta["worker_stats"]) == meta["shards"]
@@ -214,11 +201,14 @@ class TestShardedExecution:
             assert stats["peak_rss_kb"] > 0
             assert stats["snapshots"] >= 1
 
-    def test_single_shard_plan_falls_back_serial(self):
-        world = build_world(seed=7, scale=0.008)
-        executor = ParallelExecutor(2, shard_size=len(SNAPSHOTS))
-        OffnetPipeline(world).run(snapshots=SNAPSHOTS, executor=executor)
-        meta = executor.describe()
+    def test_single_shard_plan_falls_back_serial(self, small_world):
+        # One snapshot plans one shard: forking it would be pure overhead.
+        end = small_world.snapshots[-1]
+        result = OffnetPipeline(small_world, PipelineOptions(jobs=2)).run(
+            snapshots=(end,)
+        )
+        assert result.snapshots == (end,)
+        meta = result.run_meta["executor"]
         assert meta["fallback_serial"] is True
         assert meta["shards"] == 0
 

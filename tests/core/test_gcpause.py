@@ -146,16 +146,19 @@ class TestStageValuesDieByRefcount:
 
 class TestCollectorState:
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_run_restores_the_state_it_found(self, world, enabled, restore_collector):
+    def test_run_restores_the_state_it_found(
+        self, world, enabled, restore_collector, monkeypatch
+    ):
         seen = []
+        map_snapshots = SerialExecutor.map_snapshots
 
-        class Recording(SerialExecutor):
-            def map_snapshots(self, pipeline, snapshots):
-                seen.append(gc.isenabled())
-                return super().map_snapshots(pipeline, snapshots)
+        def recording(self, pipeline, snapshots):
+            seen.append(gc.isenabled())
+            return map_snapshots(self, pipeline, snapshots)
 
+        monkeypatch.setattr(SerialExecutor, "map_snapshots", recording)
         _set_collector(enabled)
-        OffnetPipeline(world).run(SNAPS[:2], executor=Recording())
+        OffnetPipeline(world).run(SNAPS[:2])
         assert seen == [False]
         assert gc.isenabled() is enabled
 

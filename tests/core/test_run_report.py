@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_resume_probe, main
 from repro.core import OffnetPipeline, PipelineOptions
 from repro.obs.report import (
     SCHEMA_VERSION,
@@ -153,3 +153,17 @@ class TestCLIReport:
         total = len(report["snapshots"])
         assert f"resume: {total}/{total} snapshots fully cached" in capsys.readouterr().out
         assert compare_reports(report, load_report(resumed), expect_cache_hits=True) == []
+
+    def test_resume_line_counts_half_cached_snapshots(self, capsys):
+        """One snapshot fully cached, one with only its first light
+        stages: the ``--resume`` line tells them apart."""
+        pipeline = OffnetPipeline(build_world(seed=7, scale=0.005))
+        complete, partial = SNAPSHOTS[-2:]
+        pipeline.run_snapshot(complete)
+        pipeline.run_stages(("ingest", "vstats"), snapshots=(partial,))
+        _print_resume_probe(pipeline)
+        total = len(pipeline.select_snapshots())
+        assert (
+            f"resume: 1/{total} snapshots fully cached, 1 partially"
+            in capsys.readouterr().out
+        )

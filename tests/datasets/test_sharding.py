@@ -1,10 +1,9 @@
-"""Shard planning, cost probing, and the partition-merge property.
+"""Shard planning and cost probing.
 
 Shards are an execution detail of the parallel executor; everything here
 defends the invariants that keep them one: plans are deterministic pure
 functions of their inputs, cover every snapshot exactly once in order,
-cost probes estimate without loading, and any row-level partition of a
-store merges back to the same shape.
+and cost probes estimate without loading.
 """
 
 import json
@@ -15,12 +14,9 @@ from repro.datasets import (
     FileDataset,
     ShardPlan,
     export_dataset,
-    merge_stores,
-    partition_store,
     plan_shards,
     probe_corpus_cost,
 )
-from repro.store import SnapshotStore
 from repro.timeline import Snapshot
 
 SNAPSHOTS = tuple(Snapshot(2019, month) for month in range(1, 8))
@@ -53,10 +49,6 @@ class TestPlanShards:
         assert max(shard_costs) < sum(costs) - 1.0  # not all-but-one-side
         assert plan.snapshots() == SNAPSHOTS
 
-    def test_shard_size_fixes_chunking(self):
-        plan = plan_shards(SNAPSHOTS, jobs=2, shard_size=3)
-        assert [len(shard) for shard in plan.shards] == [3, 3, 1]
-
     def test_deterministic(self):
         costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
         first = plan_shards(SNAPSHOTS, costs, jobs=3)
@@ -69,8 +61,6 @@ class TestPlanShards:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="jobs >= 1"):
             plan_shards(SNAPSHOTS, jobs=0)
-        with pytest.raises(ValueError, match="shard_size"):
-            plan_shards(SNAPSHOTS, jobs=2, shard_size=0)
         with pytest.raises(ValueError, match="costs"):
             plan_shards(SNAPSHOTS, [1.0], jobs=2)
 
@@ -156,27 +146,3 @@ class TestCostProbes:
         assert not dataset._scan_cache
         assert dataset._chain_pool  # cross-snapshot dedup survives the fork
 
-
-class TestPartitionMergeProperty:
-    @pytest.fixture(scope="class")
-    def store(self, small_world):
-        return small_world.scan("rapid7", small_world.snapshots[-1]).store
-
-    @pytest.mark.parametrize("pieces", (1, 2, 3, 5))
-    def test_any_partition_merges_to_the_same_shape(self, store, pieces):
-        parts = partition_store(store, pieces)
-        assert sum(p.tls_row_count for p in parts) == store.tls_row_count
-        assert sum(p.http_row_count for p in parts) == store.http_row_count
-        merged = merge_stores(parts)
-        assert merged.stats() == store.stats()
-
-    def test_partition_pieces_reintern_only_their_rows(self, store):
-        parts = partition_store(store, 4)
-        # A slice holds at most the chains its own rows reference — the
-        # memory shape a shard worker actually sees.
-        assert all(len(p.chains) <= len(store.chains) for p in parts)
-        assert any(len(p.chains) < len(store.chains) for p in parts)
-
-    def test_rejects_bad_pieces(self, store):
-        with pytest.raises(ValueError, match="pieces >= 1"):
-            partition_store(store, 0)

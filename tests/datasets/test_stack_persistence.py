@@ -1,11 +1,11 @@
 """TLS stack features through every persistence layer.
 
 The stack triple (ALPN set, version floor, ordering class) must survive
-the store's interning, the JSONL and ``.rcc`` codecs, and the shard
-partition/merge round-trip — and *degrade*, never crash, when the
-corpus predates stacks or the stack blocks are damaged: a stack problem
-books one ``corrupt_block`` (or a per-record ``schema_violation`` in
-JSONL) and every TLS row survives with the unknown-stack sentinel.
+the store's interning and the JSONL and ``.rcc`` codecs — and *degrade*,
+never crash, when the corpus predates stacks or the stack blocks are
+damaged: a stack problem books one ``corrupt_block`` (or a per-record
+``schema_violation`` in JSONL) and every TLS row survives with the
+unknown-stack sentinel.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro.datasets.columnar import _BLOCK_HEADER, _PREAMBLE, STACK_BLOCKS, VERSION, MAGIC
 from repro.datasets.formats import read_corpus, write_corpus
-from repro.datasets.sharding import merge_stores, partition_store
 from repro.robustness import CorpusParseError, IngestPolicy
 from repro.scan.handshake import UNKNOWN_STACK, stack_features
 from repro.scan.records import ScanSnapshot
@@ -249,18 +248,3 @@ class TestColumnarRoundTrip:
         assert loaded.store.tls_row_count == 3
         assert loaded.stack_for(1) == UNKNOWN_STACK
 
-
-class TestShardRoundTrip:
-    def test_partition_and_merge_carry_stacks(self):
-        """The shard fan-out must not drop the stack column: every piece
-        re-interns its rows' stacks and the merge restores the whole."""
-        snapshot = _snapshot(
-            rows=((1, GFE), (2, NGINX), (3, None), (4, GFE), (5, NGINX))
-        )
-        store = snapshot.store
-        for pieces in (2, 3):
-            merged = merge_stores(partition_store(store, pieces))
-            assert [merged.stack_for(ip) for ip in (1, 2, 3, 4, 5)] == [
-                store.stack_for(ip) for ip in (1, 2, 3, 4, 5)
-            ]
-            assert merged.stats() == store.stats()

@@ -125,6 +125,26 @@ class TestExtend:
         assert left.unique_chain_count == 2  # shared chain deduped across stores
         assert left.http_row_count == 1
 
+    def test_merged_pieces_of_a_snapshot_keep_its_stats(self, small_world):
+        """A real snapshot's rows, split into contiguous pieces and merged
+        back with extend(), re-intern to the same shape as the whole."""
+        store = small_world.scan("rapid7", small_world.snapshots[-1]).store
+        pieces = [SnapshotStore() for _ in range(3)]
+        for row, ip in enumerate(store.tls_ip):
+            pieces[row * 3 // store.tls_row_count].add_tls(
+                ip,
+                store.chains[store.tls_chain[row]],
+                store.stack_table[store.tls_stack[row]],
+            )
+        for row, ip in enumerate(store.http_ip):
+            pieces[row * 3 // store.http_row_count].add_http(
+                ip, store.http_port[row], store.header_table[store.http_header[row]]
+            )
+        merged = SnapshotStore()
+        for piece in pieces:
+            merged.extend(piece)
+        assert merged.stats() == store.stats()
+
     def test_reset_tls_clears_chain_tables(self):
         store = SnapshotStore()
         store.add_tls(1, _chain())

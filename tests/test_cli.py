@@ -33,9 +33,20 @@ class TestParser:
         for argv in (["run"], ["validate"], ["growth"]):
             assert build_parser().parse_args(argv).jobs == 1
 
-    def test_subcommand_global_overrides_top_level(self):
-        args = build_parser().parse_args(["--jobs", "4", "run", "--jobs", "2"])
-        assert args.jobs == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--dir", "ds", "--state-dir", "state", "--jobs", "2"],
+            ["export", "--dir", "ds", "--jobs", "2"],
+            ["query", "--seed", "3"],
+            ["--seed", "3", "scenario", "run"],
+        ],
+    )
+    def test_flags_live_only_where_they_act(self, argv):
+        """A flag a command never reads is refused, not silently dropped."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
 
     def test_header_learning_snapshot_option(self):
         args = build_parser().parse_args(
@@ -84,10 +95,10 @@ class TestParser:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--scale", "0.012", "run"],
-        ["--scale", "0.012", "validate"],
-        ["--scale", "0.012", "coverage", "--hypergiant", "google", "--cones"],
-        ["--scale", "0.012", "growth", "--hypergiant", "netflix"],
+        ["run", "--scale", "0.012"],
+        ["validate", "--scale", "0.012"],
+        ["coverage", "--scale", "0.012", "--hypergiant", "google", "--cones"],
+        ["growth", "--scale", "0.012", "--hypergiant", "netflix"],
     ],
 )
 def test_commands_run(argv, capsys):
@@ -98,20 +109,20 @@ def test_commands_run(argv, capsys):
 
 def test_dump_command(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
-    assert main(["--scale", "0.012", "dump", "--snapshot", "2019-10", "--out", str(out)]) == 0
+    assert main(["dump", "--scale", "0.012", "--snapshot", "2019-10", "--out", str(out)]) == 0
     assert out.exists()
     assert "wrote" in capsys.readouterr().out
 
 
 def test_growth_non_netflix(capsys):
-    assert main(["--scale", "0.012", "growth", "--hypergiant", "akamai"]) == 0
+    assert main(["growth", "--scale", "0.012", "--hypergiant", "akamai"]) == 0
     assert "akamai off-net growth" in capsys.readouterr().out
 
 
 def test_export_and_run_files(tmp_path, capsys):
     directory = tmp_path / "ds"
     assert main([
-        "--scale", "0.012", "export", "--dir", str(directory),
+        "export", "--scale", "0.012", "--dir", str(directory),
         "--snapshot", "2020-10", "--snapshot", "2021-04",
     ]) == 0
     assert (directory / "manifest.json").exists()
@@ -134,7 +145,7 @@ def test_run_with_jobs(capsys):
 def test_serve_once_is_a_delta_pass(tmp_path, capsys):
     directory, state = tmp_path / "ds", tmp_path / "state"
     assert main([
-        "--scale", "0.012", "export", "--dir", str(directory),
+        "export", "--scale", "0.012", "--dir", str(directory),
         "--snapshot", "2020-10", "--snapshot", "2021-04",
     ]) == 0
     capsys.readouterr()
@@ -197,22 +208,22 @@ class TestConfirmFlags:
             assert args.confirm_policy == "require-2"
 
     def test_unknown_signal_is_a_clean_error(self, capsys):
-        assert main(["--scale", "0.01", "run", "--signals", "banner"]) == 2
+        assert main(["run", "--scale", "0.01", "--signals", "banner"]) == 2
         assert "registered" in capsys.readouterr().out
 
     def test_bad_policy_is_a_clean_error(self, capsys):
-        assert main(["--scale", "0.01", "run", "--confirm-policy", "x"]) == 2
+        assert main(["run", "--scale", "0.01", "--confirm-policy", "x"]) == 2
         assert "confirm policy" in capsys.readouterr().out
 
     def test_headerless_paper_default_is_a_clean_error(self, capsys):
-        assert main(["--scale", "0.01", "run", "--signals", "tls-stack"]) == 2
+        assert main(["run", "--scale", "0.01", "--signals", "tls-stack"]) == 2
         assert "paper-default" in capsys.readouterr().out
 
     def test_multi_signal_run_executes(self, tmp_path, capsys):
         """Every configured signal books verdicts into the run report."""
         out = tmp_path / "signals.json"
         assert main([
-            "--scale", "0.01", "run",
+            "run", "--scale", "0.01",
             "--signals", "header,tls-stack,cert-names",
             "--confirm-policy", "require-2",
             "--report", str(out),
