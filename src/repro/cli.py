@@ -37,8 +37,9 @@ Every world-backed command (``run``, ``validate``, ``coverage``,
 exported dataset directory instead.  The commands that run the pipeline
 (``run``, ``validate``, ``coverage``, ``growth``) also take ``--jobs N``:
 map the pure per-snapshot phase over N worker processes
-(:mod:`repro.core.executor`); ``--jobs 0`` auto-sizes to one worker per CPU
-core.  The cross-snapshot merge is an ordered reduction, so any ``--jobs``
+(:mod:`repro.core.executor`); ``--jobs 0`` auto-sizes to one worker per
+core in the process's CPU affinity mask (so ``taskset`` limits it).  The
+cross-snapshot merge is an ordered reduction, so any ``--jobs``
 value prints identical numbers; N > 1 simply uses more cores.  Every flag
 goes after its subcommand's name.
 
@@ -124,7 +125,8 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="worker processes for the per-snapshot phase (default 1; "
-        "0 = one worker per CPU core; output is identical for any N)",
+        "0 = one worker per core this process may run on; output is "
+        "identical for any N)",
     )
 
 

@@ -182,16 +182,21 @@ class ParallelExecutor:
 def make_executor(jobs: int) -> SerialExecutor | ParallelExecutor:
     """The executor for a ``PipelineOptions(jobs=...)`` setting.
 
-    ``jobs=0`` auto-sizes to one worker per CPU core (``os.cpu_count()``);
-    ``jobs=1`` is serial; ``jobs=N`` forks up to N workers, one per
-    shard of a cost-balanced plan.
+    ``jobs=0`` auto-sizes to one worker per core this process may run on
+    (its CPU affinity mask where the platform has one, so ``taskset``
+    limits it, else ``os.cpu_count()``); ``jobs=1`` is serial;
+    ``jobs=N`` forks up to N workers, one per shard of a cost-balanced
+    plan.
     """
     if jobs < 0:
         raise ValueError(
             f"jobs must be >= 0, got {jobs} (0 = one worker per CPU core)"
         )
     if jobs == 0:
-        jobs = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
     if jobs == 1:
         return SerialExecutor()
     return ParallelExecutor(jobs)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from repro.core.candidates import Candidate
 from repro.core.confirm import confirm_candidates
-from repro.core.executor import make_executor
+from repro.core.executor import ParallelExecutor, SerialExecutor, make_executor
 from repro.core.footprint import FootprintSnapshot, PipelineResult, SnapshotOutcome
 from repro.core.gcpause import gc_paused
 from repro.core.header_fingerprint import learn_header_fingerprints
@@ -127,8 +127,8 @@ class PipelineOptions:
     #: IP-to-AS lookups ("our inference approach is IP protocol-agnostic").
     include_ipv6: bool = False
     #: Worker processes for the per-snapshot phase (1 = serial; N > 1 forks
-    #: a process pool; 0 = auto, one worker per CPU core; output is
-    #: identical for every setting).
+    #: a process pool; 0 = auto, one worker per core in the process's CPU
+    #: affinity mask; output is identical for every setting).
     jobs: int = 1
     #: Directory for the on-disk stage-artifact cache (the CLI's
     #: ``--cache-dir``).  ``None`` keeps artifacts in memory only.  Like
@@ -290,21 +290,36 @@ class OffnetPipeline:
         offers) and return the longitudinal result.
 
         The per-snapshot phase is mapped by the executor ``options.jobs``
-        selects, then merged in snapshot order.  The cycle collector is
-        paused over §4.4 learning and the map (see
-        :mod:`repro.core.gcpause`); workers forked there inherit the
-        pause.
+        selects (:meth:`run_snapshots`), then merged in snapshot order.
         """
         snapshots = self.select_snapshots(snapshots)
         executor = make_executor(self.options.jobs)
-        # Every value of this phase dies by reference count, so the
-        # cycle collector would only re-traverse the live heap.
-        with gc_paused():
-            self._learn_unless_cached(snapshots, RULE_STAGES)
-            outcomes = executor.map_snapshots(self, snapshots)
+        outcomes = self.run_snapshots(snapshots, executor)
         return self.merge_outcomes(
             snapshots, outcomes, executor_meta=executor.describe()
         )
+
+    def run_snapshots(
+        self,
+        snapshots: tuple[Snapshot, ...],
+        executor: SerialExecutor | ParallelExecutor,
+    ) -> list[SnapshotOutcome]:
+        """The pure phase over many snapshots: learn the §4.4 rules once,
+        in this process, then map :meth:`run_snapshot` over ``snapshots``
+        with ``executor``; outcomes come back in snapshot order.
+
+        Learning here lets forked workers inherit the rules instead of
+        re-learning them per process.  It is skipped when every
+        rule-reading artifact is already cached, so that a warm run
+        never rescans the learning snapshot; a cached artifact that then
+        reads as a miss (stale, corrupt) still learns the rules lazily
+        inside its stage.  The cycle collector is paused over both steps
+        (:mod:`repro.core.gcpause`): every value of the phase dies by
+        reference count, so it would only re-traverse the live heap.
+        """
+        with gc_paused():
+            self._learn_unless_cached(snapshots, RULE_STAGES)
+            return executor.map_snapshots(self, snapshots)
 
     def select_snapshots(
         self, snapshots: tuple[Snapshot, ...] | None = None
@@ -409,11 +424,12 @@ class OffnetPipeline:
 
         Per-snapshot costs come from the source's ``shard_cost`` probe
         when it has one (:class:`~repro.datasets.FileDataset` answers
-        from corpus file headers without loading anything); sources
-        without a probe — or snapshots whose files the probe cannot
-        reach — fall back to uniform costs.  Planning must never be the
-        thing that fails: a missing file surfaces later, in the scan
-        stage, with its usual error.
+        from corpus file headers without loading anything, a
+        :class:`~repro.world.World` counts the servers alive at the
+        snapshot); sources without a probe — or snapshots whose files
+        the probe cannot reach — fall back to uniform costs.  Planning
+        must never be the thing that fails: a missing file surfaces
+        later, in the scan stage, with its usual error.
         """
         snapshots = self.select_snapshots(snapshots)
         if jobs is None:
@@ -459,10 +475,7 @@ class OffnetPipeline:
     ) -> None:
         """Learn the §4.4 rules up front unless every ``stages`` artifact
         of every snapshot is already cached, so that no stage reading
-        the rules can run.  Learning here, in the parent, lets forked
-        workers inherit the rules instead of re-learning per process; a
-        cached artifact that then reads as a miss (stale, corrupt) still
-        learns them lazily inside the stage."""
+        the rules can run (see :meth:`run_snapshots`)."""
         if not self.options.header_confirmation or not stages:
             return
         probe = self.probe_cache(snapshots)

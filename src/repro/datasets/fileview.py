@@ -179,10 +179,17 @@ class FileDataset:
         snapshots 1..N's fingerprints untouched, which is what lets the
         serve-layer ingestor skip them entirely.  Per-file digests are
         memoised on ``(path, size, mtime_ns)``, so a watcher poll over an
-        unchanged dataset costs a handful of ``stat`` calls.
+        unchanged dataset costs a handful of ``stat`` calls.  A corpus
+        file that no codec suffix resolves digests to ``"absent"``, like
+        any missing file: the fingerprint never raises, and :meth:`scan`
+        still does.
         """
+        try:
+            corpus = _file_digest(self._corpus_path(name, snapshot))
+        except FileNotFoundError:
+            corpus = "absent"
         parts = {
-            "corpus": _file_digest(self._corpus_path(name, snapshot)),
+            "corpus": corpus,
             "ip2as": _file_digest(self.directory / "ip2as" / f"{snapshot.label}.tsv"),
             "organizations": _file_digest(self.directory / "organizations.tsv"),
             "anchors": _file_digest(self.directory / "anchors.jsonl"),

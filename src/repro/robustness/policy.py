@@ -9,6 +9,7 @@ is accounted for as exactly one error of class X.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,7 @@ class CorpusParseError(ValueError):
         byte_offset: int = 0,
         error_class: str = "schema_violation",
     ) -> None:
+        self.reason = message
         self.path = str(path)
         self.line_number = line_number
         self.byte_offset = byte_offset
@@ -102,6 +104,21 @@ class CorpusParseError(ValueError):
         super().__init__(
             f"{self.path}:{line_number} (byte offset {byte_offset}) "
             f"[{error_class}]: {message}"
+        )
+
+    def __reduce__(self):
+        # Rebuild from the parts: the default reduction re-runs __init__
+        # on the formatted message, so an error a forked worker sends
+        # home would read with its position prefixed twice.
+        return (
+            functools.partial(
+                type(self),
+                path=self.path,
+                line_number=self.line_number,
+                byte_offset=self.byte_offset,
+                error_class=self.error_class,
+            ),
+            (self.reason,),
         )
 
 

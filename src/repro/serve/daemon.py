@@ -4,7 +4,10 @@ A :class:`ServeDaemon` glues three stdlib pieces together:
 
 * a :class:`~repro.serve.ingest.DeltaIngestor` looped by a watcher thread
   every ``poll_interval`` seconds (plus one synchronous pass at startup,
-  so the first query already sees the corpus);
+  so the first query already sees the corpus; it runs before the daemon
+  starts a thread, so in a process with no other thread it forks one
+  worker per usable core, while the watcher's passes run in-process
+  beside the HTTP threads);
 * a :class:`http.server.ThreadingHTTPServer` so queries run concurrently
   — each request reads the immutable
   :class:`~repro.core.footprint_index.IndexView` published by the last
@@ -120,8 +123,9 @@ class ServeDaemon:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> str:
-        """Ingest once synchronously, bind the server, start the watcher
-        and serving threads, write ``endpoint.json``, return the URL."""
+        """Ingest once synchronously (over forked workers when no other
+        thread is running yet), bind the server, start the watcher and
+        serving threads, write ``endpoint.json``, return the URL."""
         self.ingest_now()
         daemon = self
         handler = type(

@@ -9,20 +9,32 @@ One :meth:`DeltaIngestor.ingest_once` pass:
    (:meth:`~repro.datasets.FileDataset.snapshot_fingerprint`, memoised
    per file stat, so polling an unchanged directory is cheap) mixed with
    the methodology options' identity
-   (:meth:`~repro.core.pipeline.OffnetPipeline.options_meta`);
+   (:meth:`~repro.core.pipeline.OffnetPipeline.options_meta`) and, when
+   §4.5 confirms on rules learned from the corpus, the §4.4 learning
+   snapshot's content fingerprint;
 3. **skips** every snapshot whose token the index already holds — its
    stage work is never invoked, which is the whole point;
-4. runs the pure per-snapshot phase
-   (:meth:`~repro.core.pipeline.OffnetPipeline.run_snapshot`) for the
-   new/changed ones, folding each outcome into the index, and removes
-   snapshots whose files vanished;
+4. runs the pure per-snapshot phase for the new/changed ones
+   (:meth:`~repro.core.pipeline.OffnetPipeline.run_snapshots`: the §4.4
+   rules are learned once, then the snapshots are mapped), folds each
+   outcome into the index in snapshot order, and removes snapshots
+   whose files vanished;
 5. commits once, atomically publishing the new view.
 
-A snapshot whose corpus refuses to parse under the configured policy
-(``on_error=strict`` meeting a dirty file) is recorded as *failed* and
-left out of the index — a daemon must keep serving the healthy timeline.
-Under ``lenient``/``repair`` the PR-5 quarantine machinery applies
-per-record inside ``run_snapshot`` instead, and the snapshot still lands.
+A pass on the process's only thread — the daemon's first pass, before it
+binds or starts a thread, ``serve --once`` and scripts — maps step 4
+over one forked worker per core in the CPU affinity mask, as
+``run --jobs 0`` does; a pass beside live threads (the daemon's watcher)
+runs in-process, since a child forked there can deadlock on a lock
+another thread held.
+
+A snapshot whose files fail to read under the configured policy
+(``on_error=strict`` meeting a dirty file, or a corpus file the manifest
+lists but the directory lacks) is recorded as *failed* and left out of
+the index, where it is raised, in a worker too — a daemon must keep
+serving the healthy timeline, and the rest of the pass still lands.
+Under ``lenient``/``repair`` the quarantine machinery applies per-record
+inside ``run_snapshot`` instead, and the snapshot still lands.
 
 Everything books into a :class:`~repro.obs.metrics.MetricsRegistry`
 (shared with the daemon, guarded by its lock): ``serve_ingest_events``
@@ -40,6 +52,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.executor import make_executor
+from repro.core.footprint import SnapshotOutcome
 from repro.core.footprint_index import DurableFootprintIndex, IndexView
 from repro.core.gcpause import gc_paused
 from repro.core.pipeline import OffnetPipeline, PipelineOptions
@@ -105,8 +119,10 @@ class DeltaIngestor:
     ``options`` are the batch pipeline's :class:`PipelineOptions` — the
     ingestor runs the *same* per-snapshot phase the batch path does, so
     an incrementally-built index is bit-identical to a batch run with
-    the same options.  ``registry``/``registry_lock`` let a daemon share
-    its metrics registry; standalone use gets a private pair.
+    the same options.  Their ``jobs`` is not read: a pass sizes its
+    workers by the threads alive and the CPU affinity mask (see the
+    module docstring).  ``registry``/``registry_lock`` let a daemon
+    share its metrics registry; standalone use gets a private pair.
     """
 
     def __init__(
@@ -131,18 +147,33 @@ class DeltaIngestor:
         """The index's current committed view."""
         return self.index.view()
 
-    def ingest_token(self, source: FileDataset, pipeline: OffnetPipeline, snapshot: Snapshot) -> str:
-        """The identity a snapshot is indexed under: content fingerprint
-        of its input files + the methodology options in force.  Matching
-        token ⇒ the indexed outcome is still exact ⇒ skip."""
-        document = json.dumps(
-            {
-                "content": source.snapshot_fingerprint(self.options.corpus, snapshot),
-                "options": pipeline.options_meta(),
-            },
-            sort_keys=True,
-        )
-        return "ingest:" + hashlib.sha256(document.encode("utf-8")).hexdigest()
+    def ingest_tokens(
+        self, source: FileDataset, pipeline: OffnetPipeline, snapshots: tuple[Snapshot, ...]
+    ) -> dict[Snapshot, str]:
+        """The identity each snapshot is indexed under: the content
+        fingerprint of its input files, the methodology options in
+        force and, when §4.5 confirms on rules learned from the corpus
+        (§4.4), the learning snapshot's content fingerprint — every
+        snapshot's verdicts depend on those rules.  Matching token ⇒ the
+        indexed outcome is still exact ⇒ skip."""
+        options = self.options
+        methodology: dict = {"options": pipeline.options_meta()}
+        if options.header_confirmation and options.learn_headers:
+            methodology["learning"] = source.snapshot_fingerprint(
+                options.corpus, options.header_learning_snapshot
+            )
+        tokens = {}
+        for snapshot in snapshots:
+            document = json.dumps(
+                {
+                    "content": source.snapshot_fingerprint(options.corpus, snapshot),
+                    **methodology,
+                },
+                sort_keys=True,
+            )
+            digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+            tokens[snapshot] = "ingest:" + digest
+        return tokens
 
     def ingest_once(self) -> IngestReport:
         """One reconcile pass (see the module docstring for the steps),
@@ -153,10 +184,10 @@ class DeltaIngestor:
     def _reconcile(self) -> IngestReport:
         started = time.perf_counter()
         source = FileDataset(self.directory)
-        pipeline = OffnetPipeline(source, self.options)
+        pipeline = _IngestPipeline(source, self.options)
         self.organizations = source.topology.organizations
         snapshots = pipeline.select_snapshots()
-        tokens = {s: self.ingest_token(source, pipeline, s) for s in snapshots}
+        tokens = self.ingest_tokens(source, pipeline, snapshots)
         known = self.index.tokens()
 
         changed = tuple(s for s in snapshots if known.get(s) != tokens[s])
@@ -167,10 +198,8 @@ class DeltaIngestor:
         ingested: list[Snapshot] = []
         failed: list[Snapshot] = []
         dirty = False
-        for snapshot in changed:
-            try:
-                outcome = pipeline.run_snapshot(snapshot)
-            except (CorpusParseError, FileNotFoundError):
+        for snapshot, outcome in zip(changed, self._outcomes(pipeline, changed), strict=True):
+            if isinstance(outcome, Exception):
                 failed.append(snapshot)
                 # A snapshot that used to index fine but now refuses to
                 # parse must stop being served from its stale outcome.
@@ -213,3 +242,34 @@ class DeltaIngestor:
             committed=committed,
             metrics=pass_metrics,
         )
+
+    @staticmethod
+    def _outcomes(
+        pipeline: "_IngestPipeline", changed: tuple[Snapshot, ...]
+    ) -> list[SnapshotOutcome | Exception]:
+        """Each changed snapshot's outcome or read error, in order.
+
+        A pass on the process's only thread forks one worker per usable
+        core, as ``run --jobs 0`` does; a pass beside other live threads
+        (the daemon's watcher, next to its HTTP threads) stays
+        in-process, because a child forked there could inherit a lock
+        another thread holds and deadlock on it.  If learning the §4.4
+        rules fails to read, every changed snapshot fails with it."""
+        executor = make_executor(0 if threading.active_count() == 1 else 1)
+        try:
+            return pipeline.run_snapshots(changed, executor)
+        except (CorpusParseError, FileNotFoundError) as error:
+            return [error] * len(changed)
+
+
+class _IngestPipeline(OffnetPipeline):
+    """The batch pipeline, except that a snapshot whose files fail to
+    read returns its error instead of raising it, in a forked worker as
+    in-process: one bad snapshot fails alone and the rest of its shard
+    still lands, each snapshot run once."""
+
+    def run_snapshot(self, snapshot: Snapshot) -> SnapshotOutcome | Exception:
+        try:
+            return super().run_snapshot(snapshot)
+        except (CorpusParseError, FileNotFoundError) as error:
+            return error

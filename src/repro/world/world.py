@@ -136,6 +136,14 @@ class World:
             self._scan_cache.popitem(last=False)
         return result
 
+    def shard_cost(self, name: str, snapshot: Snapshot) -> float:
+        """Estimated cost of one corpus snapshot, without scanning it —
+        the input :meth:`~repro.core.pipeline.OffnetPipeline.shard_plan`
+        balances shards by: the servers alive at the snapshot, which
+        grow about threefold over the study (Fig. 2).  Every corpus
+        sweeps the same servers, so ``name`` does not change it."""
+        return float(len(self.servers_at(snapshot)))
+
     def server_by_ip(self, ip: int) -> SimulatedServer | None:
         """Ground-truth lookup of the server at an address."""
         return self._server_by_ip.get(ip)

@@ -9,6 +9,7 @@ ordered reduction.
 
 import pytest
 
+import repro.core.executor as executor_module
 from repro.core import (
     OffnetPipeline,
     ParallelExecutor,
@@ -17,7 +18,7 @@ from repro.core import (
     make_executor,
     restore_netflix,
 )
-from repro.datasets import DataSource, FileDataset, export_dataset
+from repro.datasets import DataSource, FileDataset, export_dataset, plan_shards
 from repro.obs.report import deterministic_view
 from repro.timeline import Snapshot
 from repro.world import build_world
@@ -47,16 +48,23 @@ class TestMakeExecutor:
         assert executor.jobs == 4
 
     def test_zero_jobs_autosizes_to_cpu_count(self, monkeypatch):
-        import repro.core.executor as executor_module
-
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 3)
+        # The cores this process may run on, not the machine's.
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(executor_module.os, "sched_getaffinity", lambda pid: {0, 2, 5})
         executor = make_executor(0)
         assert isinstance(executor, ParallelExecutor)
         assert executor.jobs == 3
 
     def test_zero_jobs_on_single_core_is_serial(self, monkeypatch):
-        import repro.core.executor as executor_module
+        # ``taskset -c 0`` on a multi-core host.
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(executor_module.os, "sched_getaffinity", lambda pid: {0})
+        assert isinstance(make_executor(0), SerialExecutor)
 
+    def test_zero_jobs_without_an_affinity_mask_counts_cpus(self, monkeypatch):
+        monkeypatch.delattr(executor_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 3)
+        assert make_executor(0).jobs == 3
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)
         assert isinstance(make_executor(0), SerialExecutor)
 
@@ -85,12 +93,29 @@ class TestDataSourceProtocol:
             OffnetPipeline(object())
 
 
+@pytest.fixture(scope="module")
+def paired_runs():
+    """Per seed, a world (scale 0.008) with its serial and ``jobs=4`` runs
+    over ``SNAPSHOTS``, built once for the module."""
+    pairs = {}
+
+    def runs(seed):
+        if seed not in pairs:
+            world = build_world(seed=seed, scale=0.008)
+            pairs[seed] = (
+                world,
+                OffnetPipeline(world, PipelineOptions(jobs=1)).run(snapshots=SNAPSHOTS),
+                OffnetPipeline(world, PipelineOptions(jobs=4)).run(snapshots=SNAPSHOTS),
+            )
+        return pairs[seed]
+
+    return runs
+
+
 class TestParallelDeterminism:
     @pytest.mark.parametrize("seed", (7, 11))
-    def test_jobs4_identical_to_jobs1(self, seed):
-        world = build_world(seed=seed, scale=0.008)
-        serial = OffnetPipeline(world, PipelineOptions(jobs=1)).run(snapshots=SNAPSHOTS)
-        parallel = OffnetPipeline(world, PipelineOptions(jobs=4)).run(snapshots=SNAPSHOTS)
+    def test_jobs4_identical_to_jobs1(self, seed, paired_runs):
+        _, serial, parallel = paired_runs(seed)
 
         assert serial == parallel
         # Spell out the variants the equality above already covers, so a
@@ -114,10 +139,9 @@ class TestParallelDeterminism:
             == parallel_envelope.with_expired_nontls
         )
 
-    def test_restoration_happens_in_subset(self):
+    def test_restoration_happens_in_subset(self, paired_runs):
         """The chosen snapshots actually exercise the cross-snapshot merge."""
-        world = build_world(seed=7, scale=0.008)
-        result = OffnetPipeline(world, PipelineOptions(jobs=4)).run(snapshots=SNAPSHOTS)
+        _, _, result = paired_runs(7)
         assert any(
             result.at(snapshot).netflix_restored_ases for snapshot in SNAPSHOTS
         ), "no snapshot restored Netflix ASes; the determinism test is vacuous"
@@ -167,23 +191,25 @@ class TestShardedExecution:
     """The shard plan is an execution detail: any geometry, bit-identical
     results, and the executor's metadata tells the truth about what ran."""
 
-    def test_uneven_shards_identical_to_serial(self):
-        # jobs=4 over 7 uniform-cost snapshots → shards of 2/2/2/1: the
-        # merge barrier must flatten uneven shard outcomes back to run
-        # order.
-        world = build_world(seed=7, scale=0.008)
-        serial = OffnetPipeline(world, PipelineOptions(jobs=1)).run(
-            snapshots=SNAPSHOTS
-        )
-        sharded = OffnetPipeline(world, PipelineOptions(jobs=4)).run(
-            snapshots=SNAPSHOTS
-        )
+    def test_uneven_shards_identical_to_serial(self, paired_runs):
+        # jobs=4 over 7 snapshots whose probed costs (servers alive)
+        # grow over time → shards of unequal length: the merge barrier
+        # must flatten uneven shard outcomes back to run order.
+        world, serial, sharded = paired_runs(7)
         assert serial == sharded
         executor = sharded.run_meta["executor"]
+        costs = [world.shard_cost("rapid7", snapshot) for snapshot in SNAPSHOTS]
+        assert executor["shard_plan"] == plan_shards(SNAPSHOTS, costs, jobs=4).describe()
         assert executor["shards"] == 4
-        assert [len(row["snapshots"]) for row in executor["shard_plan"]] == [
-            2, 2, 2, 1,
-        ]
+        assert len({len(row["snapshots"]) for row in executor["shard_plan"]}) > 1
+
+    def test_world_probe_counts_live_servers(self, small_world):
+        first, last = small_world.snapshots[0], small_world.snapshots[-1]
+        for snapshot in (first, last):
+            assert small_world.shard_cost("rapid7", snapshot) == len(
+                small_world.servers_at(snapshot)
+            )
+        assert small_world.shard_cost("rapid7", last) > small_world.shard_cost("rapid7", first)
 
     def test_describe_reports_plan_and_worker_stats(self):
         world = build_world(seed=7, scale=0.008)

@@ -14,6 +14,7 @@ The contract under test (the PR's acceptance criteria):
 """
 
 import json
+import pickle
 import shutil
 
 import pytest
@@ -218,6 +219,18 @@ class TestCacheKeys:
 
 
 class TestPolicyGuards:
+    def test_parse_error_pickles_whole(self):
+        """A forked ingest worker sends its parse error home pickled."""
+        error = CorpusParseError(
+            "truncated record", path="c/2019-10.jsonl", line_number=7,
+            byte_offset=311, error_class="malformed_json",
+        )
+        copy = pickle.loads(pickle.dumps(error))
+        assert str(copy) == str(error)
+        assert (copy.path, copy.line_number, copy.byte_offset, copy.error_class) == (
+            "c/2019-10.jsonl", 7, 311, "malformed_json",
+        )
+
     def test_memory_sources_refuse_non_strict(self, small_world):
         with pytest.raises(ValueError, match="configure_ingest"):
             OffnetPipeline(small_world, PipelineOptions(on_error="lenient"))
